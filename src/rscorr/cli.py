@@ -188,18 +188,16 @@ def _cmd_table(cfg: RunConfig) -> int:
 
 def _cmd_merit(cfg: RunConfig) -> int:
     lines = ["m,merit_factor"]
-    for m in range(1, cfg.m_max + 1):
-        lines.append(f"{m},{_fmt(float(stats.merit_factor(m)))}")
+    for m, merit in stats.merit_factor_series(cfg.m_max):
+        lines.append(f"{m},{_fmt(float(merit))}")
     _emit("\n".join(lines) + "\n", cfg.out)
     return 0
 
 
 def _cmd_plotdata(cfg: RunConfig) -> int:
     table = ac.aperiodic_table_fast(cfg.m)
-    lines = ["k,abs_C"]
-    for k in range(1, 1 << cfg.m):
-        lines.append(f"{k},{abs(table[k])}")
-    _emit("\n".join(lines) + "\n", cfg.out)
+    rows = table.values[1 : 1 << cfg.m].tolist()
+    _emit("".join(["k,abs_C\n"] + [f"{k},{abs(v)}\n" for k, v in enumerate(rows, 1)]), cfg.out)
     return 0
 
 

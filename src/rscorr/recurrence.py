@@ -358,13 +358,13 @@ def verify_recurrences(m_max: int, max_order: int = DEFAULT_MAX_ORDER) -> Recurr
 
 def verify_periodic_formula(m_max: int, max_order: int = DEFAULT_MAX_ORDER) -> RecurrenceReport:
     """Compare the structural periodic tables against the direct-sum oracle."""
-    from .autocorr import periodic_table, periodic_table_naive
+    from .autocorr import iter_table_pairs, periodic_table_naive
 
     check_order(m_max, max_order)
     failures = []
     cases = 0
-    for m in range(m_max + 1):
-        fast = periodic_table(m, max_order)
+    for _, fast in iter_table_pairs(m_max, max_order):
+        m = fast.m
         oracle = periodic_table_naive(m, max_order)
         cases += len(oracle)
         if not np.array_equal(fast.values, oracle.values):

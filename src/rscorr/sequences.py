@@ -15,8 +15,10 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-#: Default cap on the order m.  A sequence of order m stores 2^m signed
-#: bytes, so 30 keeps the largest table comfortably inside desk-scale RAM.
+#: Default cap on the order m.  This is a hard limit, not a promise that
+#: the order fits in memory: at m = 30 the sequence takes 1 GiB and one int64
+#: autocorrelation table 8 GiB.  Table builders check the memory the machine
+#: has left before they allocate (see :mod:`rscorr.autocorr`).
 DEFAULT_MAX_ORDER = 30
 
 
@@ -63,7 +65,7 @@ class BinarySeq:
 
     def text(self, style: str = "symbols") -> str:
         """Render as ``"+ + - ..."`` (``symbols``) or ``"++-..."`` (``compact``)."""
-        glyphs = ["+" if t > 0 else "-" for t in self.terms]
+        glyphs = ["+" if t > 0 else "-" for t in self.terms.tolist()]
         if style == "symbols":
             return " ".join(glyphs)
         if style == "compact":
@@ -80,10 +82,7 @@ def rs_term(i: int) -> int:
 
 def rs_sequence(m: int, max_order: int = DEFAULT_MAX_ORDER) -> BinarySeq:
     """The order-``m`` Rudin-Shapiro sequence (a prefix of every later order)."""
-    check_order(m, max_order)
-    idx = np.arange(1 << m, dtype=np.uint64)
-    parity = np.bitwise_count(idx & (idx >> np.uint64(1))) & 1
-    return BinarySeq(m, (1 - 2 * parity).astype(np.int8))
+    return generalized_sequence(m, rudin_shapiro_flips(m), max_order)
 
 
 def rudin_shapiro_flips(m: int) -> tuple[int, ...]:
@@ -112,15 +111,15 @@ def generalized_sequence(
     """
     check_order(m, max_order)
     f = flips if callable(flips) else flips.__getitem__
-    block = np.ones(1, dtype=np.int8)
+    terms = np.empty(1 << m, dtype=np.int8)
+    terms[0] = 1
     for i in range(m):
-        bit = int(f(i)) & 1
-        signs = np.ones(1 << i, dtype=np.int8)
-        signs[1::2] = -1
-        if bit:
-            signs = -signs
-        block = np.concatenate([block, signs * block[::-1]])
-    return BinarySeq(m, block)
+        n = 1 << i
+        half = terms[n : 2 * n]
+        half[:] = terms[n - 1 :: -1]
+        flipped = half[1 - (int(f(i)) & 1) :: 2]  # the j with j + flips(i) odd
+        np.negative(flipped, out=flipped)
+    return BinarySeq(m, terms)
 
 
 def shapiro_eval(m, theta, max_order: int = DEFAULT_MAX_ORDER):

@@ -17,9 +17,13 @@ from typing import Optional
 
 import numpy as np
 
-from .autocorr import iter_aperiodic_tables
+from .autocorr import AutocorrTable, iter_aperiodic_tables
 from .recurrence import nearest_third
 from .sequences import DEFAULT_MAX_ORDER, check_order, shapiro_eval
+
+
+def _merit(table: AutocorrTable) -> Fraction:
+    return Fraction(4**table.m, 2 * table.sum_squares())
 
 
 def merit_factor(m: int, max_order: int = DEFAULT_MAX_ORDER) -> Fraction:
@@ -30,7 +34,17 @@ def merit_factor(m: int, max_order: int = DEFAULT_MAX_ORDER) -> Fraction:
     table = None
     for table in iter_aperiodic_tables(m, max_order):
         pass
-    return Fraction(4**m, 2 * table.sum_squares())
+    return _merit(table)
+
+
+def merit_factor_series(
+    m_max: int, max_order: int = DEFAULT_MAX_ORDER
+) -> list[tuple[int, Fraction]]:
+    """``(m, merit_factor(m))`` for ``m = 1..m_max`` from one table ladder
+    (empty when ``m_max < 1``)."""
+    if m_max < 1:
+        return []
+    return [(t.m, _merit(t)) for t in iter_aperiodic_tables(m_max, max_order) if t.m >= 1]
 
 
 def sum_squares_ratio(m: int, max_order: int = DEFAULT_MAX_ORDER) -> Fraction:

@@ -3,17 +3,21 @@ import io
 import numpy as np
 import pytest
 
+from rscorr import autocorr
 from rscorr.autocorr import (
     AutocorrTable,
     aperiodic_naive,
     aperiodic_table_fast,
     aperiodic_table_naive,
     iter_aperiodic_tables,
+    iter_table_pairs,
     periodic_naive,
     periodic_table,
     periodic_table_naive,
     verify_even_zero,
 )
+from rscorr.cli import main
+from rscorr.recurrence import v_product
 from rscorr.sequences import OrderTooLargeError, rs_sequence
 
 EXAMPLE = [-1, 1, 1, -1]
@@ -126,6 +130,60 @@ def test_sum_squares_exact():
         expected = sum(int(v) ** 2 for v in aperiodic_table_naive(m).values[1:])
         assert table.sum_squares() == expected
         assert isinstance(table.sum_squares(), int)
+
+
+@pytest.mark.parametrize("big", [
+    3_037_000_500,  # one square alone exceeds 2^63
+    3_000_000_000,  # each square fits, their sum does not
+])
+def test_sum_squares_past_int64_bound(big):
+    vals = [4, big, -big, big, -1]
+    table = AutocorrTable(2, "aperiodic", np.array(vals, dtype=np.int64))
+    total = table.sum_squares()
+    assert isinstance(total, int)
+    assert total == sum(v * v for v in vals[1:])
+    assert total >= 1 << 63
+
+
+def test_slice_step_against_v_product():
+    m = 20
+    n = 1 << m
+    prev, top = [t for t in iter_aperiodic_tables(m) if t.m >= m - 1]
+    q = n >> 2
+    rng = np.random.default_rng(20)
+    edges = [1, q - 1, q + 1, 2 * q - 1]  # with their mirrors: both ends of each quarter
+    for k in edges + (2 * rng.integers(0, n // 2, size=64) + 1).tolist():
+        for shift in (k, n - k):
+            k_prev = shift if shift <= n >> 1 else n - shift
+            direct = [top[shift], top[n - shift], prev[k_prev]]
+            assert direct == v_product(m, shift).tolist(), shift
+
+
+def test_table_pairs_match_single_calls():
+    for ap, pe in iter_table_pairs(9):
+        assert ap.m == pe.m
+        assert np.array_equal(ap.values, aperiodic_table_fast(ap.m).values)
+        assert np.array_equal(pe.values, periodic_table(pe.m).values)
+
+
+def test_memory_guard_raises_before_allocating(monkeypatch, capsys):
+    monkeypatch.setattr(autocorr, "_mem_available", lambda: 1 << 20)
+    with pytest.raises(OrderTooLargeError, match=str(autocorr._ladder_bytes(20))):
+        next(iter_aperiodic_tables(20))
+    with pytest.raises(OrderTooLargeError, match="periodic table of order 20"):
+        periodic_table(20)
+    assert main(["table", "--m-max", "20"]) == 2
+    assert "bytes" in capsys.readouterr().err
+    # small orders fit, and an unknown budget never blocks
+    assert aperiodic_table_fast(10)[0] == 1024
+    monkeypatch.setattr(autocorr, "_mem_available", lambda: None)
+    assert aperiodic_table_fast(17)[0] == 1 << 17
+
+
+def test_ladder_estimate():
+    # levels m-2, m-1 and m alive together: 1.75 * 8 * 2^m bytes plus the +1 entries
+    assert autocorr._ladder_bytes(24) == 14 * (1 << 24) + 24
+    assert autocorr._ladder_bytes(30) > 8 << 30
 
 
 def test_csv_export():

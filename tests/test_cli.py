@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -166,3 +167,30 @@ def test_out_file(capsys, tmp_path):
     code, out, _ = run(capsys, "jsr", "--method", "bnb", "--depth", "4", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["depth"] == 4
+
+
+# sha256 of stdout at fixed flags: the table engine may change, the bytes the
+# CLI prints may not.
+PINNED_OUTPUTS = {
+    ("autocorr", "--m", "10"):
+        "1fe92895d4249ffd90a12b3be5d5b72381f5b07f9fe9cbbb0b136cd0298b2051",
+    ("autocorr", "--m", "10", "--kind", "periodic"):
+        "74321788d2b21f694229866b78048e7d9b4d4baaa880914b1a70dda4c275f767",
+    ("plotdata", "--m", "10"):
+        "a7f91c5fb3fe1ee3cfc492fcc6d2976f776711388ff07086ee354af927f4bfee",
+    ("gen", "--m", "10"):
+        "8baf697bf4c2df6821eb002ae9bf496eb3fdbdabf95fc75f299f4c59744f7ccf",
+    ("gen", "--m", "10", "--format", "compact"):
+        "1c938062490397bcec1ec98509aa45873c577f986b5e9f22a7272f44ba3ac561",
+    ("table", "--m-max", "12"):
+        "444bc66372d1c093d8763ec29522766b4cd34d23af2f3ceb81635cda7287045b",
+    ("merit", "--m-max", "12"):
+        "d74266dfe1ba0fef092721e529e49221b08864f23b3ede1c5ce3a2393ba6cd7c",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_OUTPUTS), ids=" ".join)
+def test_pinned_output_bytes(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv]

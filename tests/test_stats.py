@@ -10,6 +10,7 @@ from rscorr.stats import (
     max_shift,
     merit_factor,
     merit_factor_l4,
+    merit_factor_series,
     ratio_sequence,
     sum_squares_ratio,
 )
@@ -25,6 +26,11 @@ def test_merit_factor_small_orders():
     assert isinstance(merit_factor(5), Fraction)
     with pytest.raises(ValueError):
         merit_factor(0)
+
+
+def test_merit_factor_series_matches_single_orders():
+    assert merit_factor_series(9) == [(m, merit_factor(m)) for m in range(1, 10)]
+    assert merit_factor_series(0) == merit_factor_series(-2) == []
 
 
 def test_merit_factor_approaches_three():
