@@ -56,7 +56,9 @@ def aperiodic_naive(s: ArrayLike, k: int) -> int:
 def periodic_naive(s: ArrayLike, k: int) -> int:
     """Direct summation ``sum_i s_i s_{(i+k) mod n}``."""
     arr = np.asarray(s, dtype=np.int64)
-    return int(np.dot(arr, np.roll(arr, -(k % arr.size))))
+    n = arr.size
+    k %= n
+    return int(np.dot(arr[: n - k], arr[k:]) + np.dot(arr[n - k :], arr[:k]))
 
 
 #: Rows formatted per write in :meth:`AutocorrTable.to_csv`.
@@ -122,13 +124,20 @@ class AutocorrTable:
 
 
 def _naive_table(m: int, kind: str, max_order: int) -> AutocorrTable:
-    seq = rs_sequence(m, max_order)
-    n = 1 << m
+    """Every entry by one direct O(2^m) dot product over slices of one int64
+    copy of the sequence; periodic shifts read a doubled copy."""
+    seq = np.asarray(rs_sequence(m, max_order), dtype=np.int64)
+    n = seq.size
     if kind == "aperiodic":
-        vals = [aperiodic_naive(seq, k) for k in range(n + 1)]
+        vals = np.zeros(n + 1, dtype=np.int64)  # shift n has no overlap
+        for k in range(n):
+            vals[k] = np.dot(seq[: n - k], seq[k:])
     else:
-        vals = [periodic_naive(seq, k) for k in range(n)]
-    return AutocorrTable(m, kind, np.array(vals, dtype=np.int64))
+        doubled = np.concatenate((seq, seq))
+        vals = np.empty(n, dtype=np.int64)
+        for k in range(n):
+            vals[k] = np.dot(seq, doubled[k : k + n])
+    return AutocorrTable(m, kind, vals)
 
 
 def aperiodic_table_naive(m: int, max_order: int = DEFAULT_MAX_ORDER) -> AutocorrTable:

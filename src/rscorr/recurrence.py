@@ -285,9 +285,68 @@ class DecompositionReport:
         }
 
 
+#: ``QUARTER_FACTORS`` stacked in quarter order S1..S4, and the letters
+#: stacked as (MA, MB), indexed by the projection bit.
+_FACTOR_STACK = np.stack([QUARTER_FACTORS[f"S{i}"] for i in range(1, 5)])
+_LETTER_STACK = np.stack([MA, MB])
+
+
+def _apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Row-wise ``mats[i] @ vecs[i]`` for stacks of 3x3 matrices and 3-vectors."""
+    return np.einsum("nij,nj->ni", mats, vecs)
+
+
+def _level_routes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(shifts, product, reconstruction)`` for every odd shift of order ``m``.
+
+    The batched forms of :func:`v_product` and ``normal_form(m, k).reconstruct()``:
+    row ``i`` of each ``(2^(m-1), 3)`` array belongs to ``shifts[i]``.
+    Raises :class:`NormalFormError` as :func:`_regroup` would, for the
+    smallest shift whose chain has a non-letter pair.
+    """
+    shifts = np.arange(1, 1 << m, 2, dtype=np.int64)
+    # quarters[i, j]: quarter index (0..3) of shift j at level m - i
+    quarters = np.empty((m - 2, shifts.size), dtype=np.intp)
+    shift = shifts.copy()
+    for i, level in enumerate(range(m, 2, -1)):
+        quarters[i] = shift >> (level - 2)
+        shift = np.where(quarters[i] >= 2, (1 << level) - shift, shift)
+    seed_swap = (quarters[-1] == 1) | (quarters[-1] == 2)  # S2 or S3 at level 3
+
+    prod = np.where(seed_swap[:, None], SWAP @ SEED, SEED)
+    for q in quarters[::-1]:
+        prod = _apply(_FACTOR_STACK[q], prod)
+
+    # Between consecutive STEPs sit PROJ^b (this level) and SWAP^a (next level
+    # down, or the seed swap): (1, 0) is MB, (0, 1) is MA, anything else is
+    # not a letter.
+    swap_bits, proj_bits = np.array([_EXPONENTS[f"S{i}"] for i in range(1, 5)]).T
+    proj = proj_bits[quarters]
+    swap_next = np.vstack([swap_bits[quarters[1:]], seed_swap[None, :]])
+    bad = proj == swap_next
+    if bad.any():
+        col = int(np.argmax(bad.any(axis=0)))
+        row = int(np.argmax(bad[:, col]))
+        raise NormalFormError(
+            f"factor STEP PROJ^{proj[row, col]} SWAP^{swap_next[row, col]} is not a single letter"
+        )
+    recon = np.broadcast_to(SEED, (shifts.size, 3))
+    for row in proj[::-1]:  # the letter is MB where the projection bit is set
+        recon = _apply(_LETTER_STACK[row], recon)
+    delta = swap_bits[quarters[0]].astype(bool)
+    recon[delta] = recon[delta][:, [1, 0, 2]]
+    return shifts, prod, recon
+
+
 def verify_decomposition(m_max: int, max_order: int = DEFAULT_MAX_ORDER) -> DecompositionReport:
-    """Check ``v_product`` and the normal-form reconstruction against the
-    tables for every odd shift, orders 3..m_max."""
+    """Check the product route and the normal-form reconstruction against the
+    tables for every odd shift, orders 3..m_max.
+
+    Both routes run batched over all odd shifts of one level
+    (:func:`_level_routes`); the scalar :func:`v_product` and
+    :func:`normal_form` are pinned to the batched vectors at every shift by
+    the tests.
+    """
     check_order(m_max, max_order)
     failures = []
     cases = 0
@@ -296,14 +355,17 @@ def verify_decomposition(m_max: int, max_order: int = DEFAULT_MAX_ORDER) -> Deco
         m = table.m
         if m >= 3:
             n = 1 << m
-            for k in range(1, n, 2):
-                cases += 1
-                k_prev = k if k <= n >> 1 else n - k
-                direct = np.array([table[k], table[n - k], prev[k_prev]], dtype=np.int64)
-                prod = v_product(m, k)
-                recon = normal_form(m, k).reconstruct()
-                if not np.array_equal(direct, prod) or not np.array_equal(direct, recon):
-                    failures.append((m, k, direct.tolist(), prod.tolist(), recon.tolist()))
+            shifts, prod, recon = _level_routes(m)
+            cases += shifts.size
+            k_prev = np.where(shifts <= n >> 1, shifts, n - shifts)
+            direct = np.column_stack(
+                [table.values[shifts], table.values[n - shifts], prev[k_prev]]
+            )
+            bad = np.any(direct != prod, axis=1) | np.any(direct != recon, axis=1)
+            for i in np.nonzero(bad)[0]:
+                failures.append(
+                    (m, int(shifts[i]), direct[i].tolist(), prod[i].tolist(), recon[i].tolist())
+                )
         prev = table.values
     notes = (
         "near-two-thirds shifts: v_m(nearest_third(m)) follows the chain form "

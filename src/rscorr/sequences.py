@@ -122,11 +122,21 @@ def generalized_sequence(
     return BinarySeq(m, terms)
 
 
+#: Coefficients summed per block in :func:`shapiro_eval`.
+_EVAL_CHUNK = 1 << 12
+#: Entries of one ``np.outer``/``np.exp`` block in :func:`shapiro_eval`
+#: (16 MiB of complex128), whatever the number of angles.
+_EVAL_BLOCK = 1 << 20
+
+
 def shapiro_eval(m, theta, max_order: int = DEFAULT_MAX_ORDER):
     """Evaluate ``sum_j a_j e^(i j theta)`` over the order-``m`` sequence.
 
-    ``theta`` may be a scalar or an array; the sum is accumulated directly
-    (chunked over the coefficient index to bound memory).  The trivial bound
+    ``theta`` may be a scalar or an array of arbitrary angles.  This is the
+    dense reference: the sum is accumulated directly, in blocks over both
+    the angles and the coefficient index, so each temporary stays under
+    :data:`_EVAL_BLOCK` entries.  Uniform grids are better served by an FFT
+    (see :func:`rscorr.stats.merit_factor_l4`).  The trivial bound
     ``|result| <= 2**m`` always holds.
     """
     check_order(m, max_order)
@@ -135,8 +145,10 @@ def shapiro_eval(m, theta, max_order: int = DEFAULT_MAX_ORDER):
     scalar = th.ndim == 0
     th = np.atleast_1d(th)
     total = np.zeros(th.shape, dtype=np.complex128)
-    chunk = 1 << 12
-    for start in range(0, coeffs.size, chunk):
-        j = np.arange(start, min(start + chunk, coeffs.size))
-        total += np.exp(1j * np.outer(th, j)) @ coeffs[j]
+    rows = max(1, _EVAL_BLOCK // min(_EVAL_CHUNK, coeffs.size))
+    for lo in range(0, th.size, rows):
+        block = th[lo : lo + rows]
+        for start in range(0, coeffs.size, _EVAL_CHUNK):
+            j = np.arange(start, min(start + _EVAL_CHUNK, coeffs.size))
+            total[lo : lo + rows] += np.exp(1j * np.outer(block, j)) @ coeffs[j]
     return complex(total[0]) if scalar else total

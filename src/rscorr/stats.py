@@ -19,7 +19,7 @@ import numpy as np
 
 from .autocorr import AutocorrTable, iter_aperiodic_tables
 from .recurrence import nearest_third
-from .sequences import DEFAULT_MAX_ORDER, check_order, shapiro_eval
+from .sequences import DEFAULT_MAX_ORDER, check_order, rs_sequence
 
 
 def _merit(table: AutocorrTable) -> Fraction:
@@ -57,10 +57,13 @@ def merit_factor_l4(
 ) -> float:
     """Merit factor from the fourth power mean of ``|q(e^(i theta))|``.
 
-    Uses the trapezoid rule on the uniform grid, which is exact for the
-    trigonometric polynomial ``|q|^4`` once the grid beats its degree; the
-    required minimum is ``4 * 2^m`` points.  Agrees with
-    :func:`merit_factor` to roundoff.
+    ``q`` is sampled on the uniform grid ``theta_j = 2 pi j / npts`` by one
+    zero-padded FFT of the coefficients (any ``npts``, not only powers of
+    two); the coefficients are real, so the FFT's ``e^(-i j theta)``
+    convention gives the same modulus.  The trapezoid rule on that grid is
+    exact for the trigonometric polynomial ``|q|^4`` once ``npts >= 4 * 2^m``,
+    the required minimum, so the result agrees with :func:`merit_factor`
+    to roundoff.
     """
     check_order(m, max_order)
     if m < 1:
@@ -71,10 +74,15 @@ def merit_factor_l4(
         raise ValueError(
             f"insufficient quadrature: need at least {4 * n} points for order {m}, got {npts}"
         )
-    theta = 2.0 * np.pi * np.arange(npts) / npts
-    vals = np.abs(shapiro_eval(m, theta, max_order)) ** 4
-    fourth_power_mean = float(np.mean(vals))  # periodic trapezoid = plain mean
+    # periodic trapezoid = plain mean
+    fourth_power_mean = float(np.mean(_fourth_powers(m, npts, max_order)))
     return n * n / (fourth_power_mean - n * n)
+
+
+def _fourth_powers(m: int, npts: int, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
+    """``|q(e^(i theta_j))|^4`` on ``theta_j = 2 pi j / npts`` by one zero-padded FFT."""
+    coeffs = rs_sequence(m, max_order).terms.astype(np.float64)
+    return np.abs(np.fft.fft(coeffs, npts)) ** 4
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,15 @@ def test_zero_shift_is_length():
         assert periodic_naive(s, 0) == n
 
 
+def test_periodic_naive_wraps_any_shift():
+    # k is taken mod n, negative shifts included; np.roll is the reference
+    for m in (0, 1, 5):
+        s = np.asarray(rs_sequence(m), dtype=np.int64)
+        n = s.size
+        for k in range(-2 * n - 1, 2 * n + 2):
+            assert periodic_naive(s, k) == int(np.dot(s, np.roll(s, -(k % n)))), (m, k)
+
+
 def test_shift_past_length_vanishes():
     assert aperiodic_naive(EXAMPLE, 4) == 0
     assert aperiodic_naive(EXAMPLE, 100) == 0

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from rscorr import autocorr
+from rscorr.autocorr import AutocorrTable
 from rscorr.cli import main
 
 
@@ -79,6 +81,28 @@ def test_autocorr_check_and_methods(capsys):
     fast = run(capsys, "autocorr", "--m", "6")[1]
     naive = run(capsys, "autocorr", "--m", "6", "--method", "naive")[1]
     assert fast == naive
+
+
+@pytest.mark.parametrize("kind,fast_name", [
+    ("aperiodic", "aperiodic_table_fast"),
+    ("periodic", "periodic_table"),
+])
+def test_autocorr_naive_check_compares_with_fast_route(capsys, monkeypatch, kind, fast_name):
+    argv = ("autocorr", "--m", "6", "--kind", kind, "--method", "naive", "--check")
+    clean = run(capsys, *argv)
+    assert clean[0] == 0 and clean[1] == run(capsys, "autocorr", "--m", "6", "--kind", kind)[1]
+
+    fast = getattr(autocorr, fast_name)
+
+    def corrupted(m, *args):
+        values = fast(m, *args).values.copy()
+        values[3] += 1
+        return AutocorrTable(m, kind, values)
+
+    monkeypatch.setattr(autocorr, fast_name, corrupted)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "check failed" in err and "fast route" in err
 
 
 def test_autocorr_out_directory_naming(capsys, tmp_path):
@@ -169,8 +193,8 @@ def test_out_file(capsys, tmp_path):
     assert json.loads(target.read_text())["depth"] == 4
 
 
-# sha256 of stdout at fixed flags: the table engine may change, the bytes the
-# CLI prints may not.
+# sha256 of stdout at fixed flags: the table engine and the verification
+# routes may change, the bytes the CLI prints may not.
 PINNED_OUTPUTS = {
     ("autocorr", "--m", "10"):
         "1fe92895d4249ffd90a12b3be5d5b72381f5b07f9fe9cbbb0b136cd0298b2051",
@@ -186,6 +210,12 @@ PINNED_OUTPUTS = {
         "444bc66372d1c093d8763ec29522766b4cd34d23af2f3ceb81635cda7287045b",
     ("merit", "--m-max", "12"):
         "d74266dfe1ba0fef092721e529e49221b08864f23b3ede1c5ce3a2393ba6cd7c",
+    ("verify", "decomposition", "--m-max", "12"):
+        "fa41345a0324acef6117fcc3243c1a5056491ce9bbd896a9a0fb4fadecb2deda",
+    ("verify", "recurrences", "--m-max", "11"):
+        "1d81770dac0bc30d51fa643b0458bfafdbba6f0142df2ded6f2537fdb1f920ac",
+    ("verify", "theorem12", "--m-max", "11"):
+        "3fb48c37b2fd685414a3dad3af0decf94905b18f1728068927238c28dd80dbd0",
 }
 
 

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from rscorr.autocorr import aperiodic_table_fast
+from rscorr import recurrence
+from rscorr.autocorr import AutocorrTable, aperiodic_table_fast, iter_aperiodic_tables
 from rscorr.recurrence import (
     MA,
     MB,
@@ -10,6 +13,7 @@ from rscorr.recurrence import (
     STEP,
     SWAP,
     NormalFormError,
+    _level_routes,
     _regroup,
     check_floor_ceil_identities,
     interval_label,
@@ -167,3 +171,76 @@ def test_verify_reports():
     assert rep.passed and rep.cases == sum(1 << (m - 1) for m in range(3, 9))
     assert any("m-2" in note for note in rep.notes)
     assert any("disagrees" in note for note in rep.notes)
+
+
+def test_level_routes_match_scalar_routes():
+    for m in range(3, 11):
+        shifts, prod, recon = _level_routes(m)
+        assert shifts.tolist() == list(range(1, 1 << m, 2))
+        for k, p, r in zip(shifts.tolist(), prod, recon):
+            assert np.array_equal(p, v_product(m, k)), (m, k)
+            assert np.array_equal(r, normal_form(m, k).reconstruct()), (m, k)
+
+
+def _first_regroup_error(m):
+    for k in range(1, 1 << m, 2):
+        try:
+            normal_form(m, k)
+        except NormalFormError as exc:
+            return str(exc)
+    return None
+
+
+def test_level_routes_reject_non_letter_like_regroup(monkeypatch):
+    # with these bits the smallest bad shift at m=4 first meets PROJ^0 SWAP^0,
+    # while later pairs and later shifts carry PROJ^1 SWAP^1
+    monkeypatch.setitem(recurrence._EXPONENTS, "S3", (0, 1))
+    monkeypatch.setitem(recurrence._EXPONENTS, "S4", (0, 1))
+    assert "PROJ^0 SWAP^0" in _first_regroup_error(4)
+    for m in range(3, 8):
+        expected = _first_regroup_error(m)
+        if expected is None:
+            _level_routes(m)
+            continue
+        with pytest.raises(NormalFormError) as info:
+            _level_routes(m)
+        assert str(info.value) == expected, m
+
+
+def test_verify_decomposition_reports_corrupted_entry(monkeypatch):
+    def corrupted(m_max, max_order):
+        for table in iter_aperiodic_tables(m_max, max_order):
+            if table.m == 6:
+                values = table.values.copy()
+                values[21] += 7
+                table = AutocorrTable(6, "aperiodic", values)
+            yield table
+
+    monkeypatch.setattr(recurrence, "iter_aperiodic_tables", corrupted)
+    rep = verify_decomposition(8)
+    # C_6(21) feeds v_6(21), v_6(43), v_7(21) and v_7(107); the product and
+    # the normal form still carry the true values
+    assert not rep.passed and rep.cases == 252
+    assert rep.failures == (
+        (6, 21, [0, -13, 1], [-7, -13, 1], [-7, -13, 1]),
+        (6, 43, [-13, 0, 1], [-13, -7, 1], [-13, -7, 1]),
+        (7, 21, [-13, 13, 0], [-13, 13, -7], [-13, 13, -7]),
+        (7, 107, [13, -13, 0], [13, -13, -7], [13, -13, -7]),
+    )
+    json.dumps(rep.to_dict())  # plain ints only
+
+
+def test_verify_decomposition_reports_each_route(monkeypatch):
+    # a wrong S1 factor breaks the product route only; the normal form and
+    # the table still agree
+    stack = recurrence._FACTOR_STACK.copy()
+    stack[0] *= 2
+    monkeypatch.setattr(recurrence, "_FACTOR_STACK", stack)
+    rep = verify_decomposition(5)
+    expected = [
+        (m, k) for m in range(3, 6) for k in range(1, 1 << m, 2)
+        if "S1" in shift_chain(k, m).labels()
+    ]
+    assert [(f[0], f[1]) for f in rep.failures] == expected
+    for m, k, direct, prod, recon in rep.failures:
+        assert direct == recon == normal_form(m, k).reconstruct().tolist() != prod

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rscorr import sequences
 from rscorr.sequences import (
     BinarySeq,
     OrderTooLargeError,
@@ -136,6 +137,26 @@ def test_shapiro_eval_direct_sum_oracle():
         expected = np.array([np.sum(coeffs * np.exp(1j * t * j)) for t in theta])
         got = shapiro_eval(m, theta)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_shapiro_eval_blocks_bound_temporaries(monkeypatch):
+    # tiny budgets force several blocks over both angles and coefficients
+    monkeypatch.setattr(sequences, "_EVAL_CHUNK", 64)
+    monkeypatch.setattr(sequences, "_EVAL_BLOCK", 256)
+    sizes = []
+    outer = np.outer
+
+    def spy(a, b):
+        sizes.append(np.size(a) * np.size(b))
+        return outer(a, b)
+
+    monkeypatch.setattr(sequences.np, "outer", spy)
+    theta = np.random.default_rng(5).uniform(0, 2 * np.pi, size=37)
+    coeffs = rs_sequence(8).terms.astype(float)
+    j = np.arange(coeffs.size)
+    expected = np.array([np.sum(coeffs * np.exp(1j * t * j)) for t in theta])
+    assert np.allclose(shapiro_eval(8, theta), expected, rtol=1e-12, atol=1e-12)
+    assert len(sizes) > 8 and max(sizes) <= 256
 
 
 def test_shapiro_eval_trivial_bound():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from rscorr.autocorr import aperiodic_table_fast
+from rscorr.sequences import shapiro_eval
 from rscorr.stats import (
+    _fourth_powers,
     conjecture_table,
     exact_match_orders,
     max_shift,
@@ -62,6 +64,34 @@ def test_merit_factor_l4_matches_exact():
 
 def test_merit_factor_l4_default_points():
     assert merit_factor_l4(3) == pytest.approx(float(merit_factor(3)), rel=1e-9)
+
+
+@pytest.mark.parametrize("extra_points", [None, 3])
+def test_merit_factor_l4_fft_matches_exact(extra_points):
+    # default 8N grid, and a 4N + 3 grid that is not a power of two
+    for m in range(1, 21):
+        npts = None if extra_points is None else 4 * (1 << m) + extra_points
+        exact = float(merit_factor(m))
+        assert merit_factor_l4(m, npts) == pytest.approx(exact, rel=1e-12), m
+
+
+def test_fourth_powers_match_dense_eval():
+    # the FFT grid against the dense direct sum at the same angles; |q| has
+    # exact zeros on some grids, so the tolerance is relative to the peak
+    for m in range(1, 10):
+        for npts in (4 << m, (4 << m) + 3, 8 << m):
+            theta = 2.0 * np.pi * np.arange(npts) / npts
+            dense = np.abs(shapiro_eval(m, theta)) ** 4
+            got = _fourth_powers(m, npts)
+            np.testing.assert_allclose(got, dense, rtol=1e-9, atol=1e-9 * dense.max())
+
+
+def test_littlewood_closed_form_exact():
+    # F_m = 3 / (1 - (-1/2)^m) (Littlewood 1968), as exact rationals
+    series = merit_factor_series(22)
+    assert [m for m, _ in series] == list(range(1, 23))
+    for m, merit in series:
+        assert merit == 3 / (1 - Fraction(-1, 2) ** m), m
 
 
 def test_merit_factor_l4_insufficient_quadrature():
