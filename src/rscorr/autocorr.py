@@ -15,12 +15,22 @@ boundaries (all even) never need a rule.  The periodic table has its own
 closed form: zero on Q1 and Q4, and ``4 C_{m-2}(|2^(m-1) - k|)`` on
 Q2 and Q3.
 
-Each quarter rule reads one odd-indexed stretch of an earlier level,
-forwards or backwards, so a level is filled with strided slices and needs
-no index arrays.  While the ladder runs, the levels ``m-2``, ``m-1`` and
-``m`` are alive together: about ``1.75 * 8 * 2^m`` bytes.  Builders
-compare that estimate with the memory the machine has available before
-they allocate, and raise :class:`OrderTooLargeError` if it does not fit.
+Only odd shifts carry information, so the ladder stores one compact level
+per order: ``C_m(2j + 1)`` at index ``j < 2^(m-1)``.  Each quarter rule
+then reads a forward or reversed contiguous slice of the two levels below
+and writes one contiguous slice, with no index arrays, strides or zero
+fill.  Only this module knows that layout: full tables are expanded where
+a public function returns one, and the reductions in :mod:`rscorr.stats`
+and :mod:`rscorr.norms`, and :func:`rscorr.recurrence.v_direct`, read the
+compact levels through the helpers here.
+
+Each builder estimates the bytes alive at its peak, in units of ``2^m``
+bytes at order ``m`` (the compact levels ``m-2``, ``m-1`` and ``m`` take
+1, 2 and 4 units, a full table 8): 7 for the bare ladder, 12 for
+:func:`aperiodic_table_fast`, 9 for :func:`periodic_table`, 18 for
+:func:`iter_aperiodic_tables` and 31 for :func:`iter_table_pairs`.  It
+compares that estimate with the memory the machine has available before
+it allocates, and raises :class:`OrderTooLargeError` if it does not fit.
 """
 
 from __future__ import annotations
@@ -61,8 +71,28 @@ def periodic_naive(s: ArrayLike, k: int) -> int:
     return int(np.dot(arr[: n - k], arr[k:]) + np.dot(arr[n - k :], arr[:k]))
 
 
-#: Rows formatted per write in :meth:`AutocorrTable.to_csv`.
+#: Rows formatted per chunk by :func:`_csv_rows`.
 _CSV_CHUNK = 1 << 16
+#: Values per chunk in :func:`_sum_squares` (512 KiB of int64).
+_SUM_CHUNK = 1 << 16
+
+
+def _csv_rows(values: np.ndarray, first: int = 0, absolute: bool = False) -> Iterator[str]:
+    """``k,value`` lines for ``values[i]`` at ``k = first + i`` (``|value|``
+    when ``absolute``), as one string per chunk of :data:`_CSV_CHUNK` rows.
+
+    Each chunk interleaves ``k`` and the value in one int64 array and
+    formats it with a single ``%`` operation.
+    """
+    for start in range(0, values.size, _CSV_CHUNK):
+        chunk = values[start : start + _CSV_CHUNK]
+        rows = np.empty((chunk.size, 2), dtype=np.int64)
+        rows[:, 0] = np.arange(first + start, first + start + chunk.size)
+        if absolute:
+            np.abs(chunk, out=rows[:, 1])
+        else:
+            rows[:, 1] = chunk
+        yield "%d,%d\n" * chunk.size % tuple(rows.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -94,18 +124,8 @@ class AutocorrTable:
         return self.values.size
 
     def sum_squares(self) -> int:
-        """Exact ``sum_{k>=1} values[k]**2`` as a Python int.
-
-        The int64 dot product is exact while ``size * max|v|^2 < 2^63``; past
-        that bound the sum is taken in Python ints.
-        """
-        v = self.values[1:]
-        if v.size == 0:
-            return 0
-        peak = max(int(v.max()), -int(v.min()))
-        if v.size * peak * peak < 1 << 63:
-            return int(np.dot(v, v))
-        return sum(x * x for x in v.tolist())
+        """Exact ``sum_{k>=1} values[k]**2`` as a Python int (see :func:`_sum_squares`)."""
+        return _sum_squares(self.values[1:])
 
     @property
     def default_filename(self) -> str:
@@ -115,18 +135,21 @@ class AutocorrTable:
         """Write ``k,value`` rows; returns the text when no file is given."""
         buf = fileobj or io.StringIO()
         buf.write("k,value\n")
-        for start in range(0, self.values.size, _CSV_CHUNK):
-            rows = self.values[start : start + _CSV_CHUNK].tolist()
-            buf.write("".join([f"{k},{v}\n" for k, v in enumerate(rows, start)]))
+        for text in _csv_rows(self.values):
+            buf.write(text)
         if fileobj is None:
             return buf.getvalue()
         return None
 
 
 def _naive_table(m: int, kind: str, max_order: int) -> AutocorrTable:
-    """Every entry by one direct O(2^m) dot product over slices of one int64
-    copy of the sequence; periodic shifts read a doubled copy."""
-    seq = np.asarray(rs_sequence(m, max_order), dtype=np.int64)
+    """Every entry by one direct O(2^m) dot product over slices of one
+    float64 copy of the sequence; periodic shifts read a doubled copy.
+
+    float64 is exact here in any summation order: every partial sum is an
+    integer of magnitude at most ``2^m <= 2^30 < 2^53``.
+    """
+    seq = np.asarray(rs_sequence(m, max_order), dtype=np.float64)
     n = seq.size
     if kind == "aperiodic":
         vals = np.zeros(n + 1, dtype=np.int64)  # shift n has no overlap
@@ -151,11 +174,24 @@ def periodic_table_naive(m: int, max_order: int = DEFAULT_MAX_ORDER) -> Autocorr
     return _naive_table(m, "periodic", max_order)
 
 
-#: Aperiodic values of orders 0..2, the base of the ladder.
-_APERIODIC_SEEDS = ([1, 0], [2, 1, 0], [4, 1, 0, -1, 0])
+#: Odd-shift values ``C_m(1), C_m(3), ...`` of orders 0..2, the base of the ladder.
+_ODD_SEEDS = ((), (1,), (1, -1))
 #: Periodic values of orders 0 and 1, where shift 1 wraps onto itself and
 #: the closed form does not apply.
 _PERIODIC_SEEDS = ([1], [2, 2])
+
+#: Bytes alive at each builder's peak, in units of ``2^m`` bytes at order
+#: ``m``.  The compact levels ``m-2``, ``m-1`` and ``m`` take 1, 2 and 4
+#: units, a full table 8.  A ``for`` loop still holds the item a generator
+#: yielded last while the generator builds the next one, so the two
+#: generators count that item too.
+_PEAK_UNITS = {
+    "the aperiodic ladder": 7,  # levels m-2, m-1, m
+    "the aperiodic table": 12,  # level m, table m
+    "the aperiodic tables": 18,  # levels m-1, m, table m, the caller's table m-1
+    "the periodic table": 9,  # level m-2, table m
+    "the table pairs": 31,  # levels m-2, m-1, m, two tables m, the caller's pair m-1
+}
 
 
 def _mem_available() -> int | None:
@@ -170,48 +206,142 @@ def _mem_available() -> int | None:
     return None
 
 
-def _check_memory(nbytes: int, what: str) -> None:
-    """Raise :class:`OrderTooLargeError` if ``nbytes`` exceeds available memory."""
+def _check_memory(builder: str, m: int) -> None:
+    """Raise :class:`OrderTooLargeError` if ``builder`` at order ``m`` would
+    not fit in the memory available now."""
+    nbytes = _PEAK_UNITS[builder] << m
     available = _mem_available()
     if available is not None and nbytes > available:
         raise OrderTooLargeError(
-            f"{what} needs about {nbytes} bytes ({nbytes / 2**30:.2f} GiB), "
+            f"{builder} of order {m} needs about {nbytes} bytes ({nbytes / 2**30:.2f} GiB), "
             f"but only {available} bytes ({available / 2**30:.2f} GiB) are available"
         )
 
 
-def _ladder_bytes(m: int) -> int:
-    """int64 bytes of levels ``m-2``, ``m-1`` and ``m`` held at once (1.75 * 8 * 2^m)."""
-    return 8 * ((1 << m) + (1 << m >> 1) + (1 << m >> 2) + 3)
+def _next_odd(one_back: np.ndarray, two_back: np.ndarray) -> np.ndarray:
+    """One recurrence step on compact levels: order ``m`` from ``m-1`` and ``m-2``.
 
+    With ``e = 2^(m-3)`` entries per quarter, ``a = one_back`` (``2e``
+    entries) and ``b = two_back`` (``e`` entries), the four quarters of
+    ``(0, 2^m)`` are the contiguous slices
 
-def _next_aperiodic(prev1: np.ndarray, prev2: np.ndarray, m: int) -> np.ndarray:
-    """One recurrence step: order-``m`` values from orders ``m-1`` and ``m-2``.
+        Q1 = a[e:] reversed        Q2 = (a[:e] + 2 b) reversed
+        Q3 = 2 b - a[:e]           Q4 = -a[e:]
 
-    Each quarter is one strided slice of ``out``; the reversed slices of
-    ``prev1``/``prev2`` read ``h - k`` and the forward ones ``k - h``.
+    each written in place with no temporary.
     """
-    n = 1 << m
-    q, h = n >> 2, n >> 1
-    out = np.zeros(n + 1, dtype=np.int64)
-    out[0] = n  # shift 0 is the sequence length; shift 2^m has zero overlap
-    out[1:q:2] = prev1[h - 1 : q : -2]
-    quarter = out[q + 1 : h : 2]
-    np.multiply(prev2[q - 1 : 0 : -2], 2, out=quarter)
-    quarter += prev1[q - 1 : 0 : -2]
-    quarter = out[h + 1 : 3 * q : 2]
-    np.multiply(prev2[1:q:2], 2, out=quarter)
-    quarter -= prev1[1:q:2]
-    np.negative(prev1[q + 1 : h : 2], out=out[3 * q + 1 : n : 2])
+    e = two_back.size
+    a_low, a_high = one_back[:e], one_back[e:]
+    out = np.empty(4 * e, dtype=np.int64)
+    out[:e] = a_high[::-1]
+    quarter = out[e : 2 * e]
+    np.multiply(two_back[::-1], 2, out=quarter)
+    quarter += a_low[::-1]
+    quarter = out[2 * e : 3 * e]
+    np.multiply(two_back, 2, out=quarter)
+    quarter -= a_low
+    np.negative(a_high, out=out[3 * e :])
     return out
 
 
+def _odd_levels(
+    m_max: int, max_order: int = DEFAULT_MAX_ORDER, builder: str | None = "the aperiodic ladder"
+) -> Iterator[np.ndarray]:
+    """Yield the compact levels of orders 0..m_max.
+
+    Level ``m`` holds ``C_m(2j + 1)`` at index ``j < 2^(m-1)``; every even
+    shift ``k >= 2`` vanishes, so it holds every nonzero value for
+    ``0 < k < 2^m``.  Each value is a sum of an odd number of +/-1 terms,
+    hence odd and never zero.  Levels ``m-2``, ``m-1`` and ``m`` are alive
+    while level ``m`` is built (``7 * 2^m`` bytes), only the last two when
+    it is yielded.  Before the first level the order cap is checked,
+    and the memory that ``builder`` needs at order ``m_max`` unless it is
+    None (a caller whose peak is at another order checks its own).
+    """
+    check_order(m_max, max_order)
+    if builder is not None:
+        _check_memory(builder, m_max)
+    one_back = two_back = None
+    for m in range(m_max + 1):
+        if m <= 2:
+            level = np.array(_ODD_SEEDS[m], dtype=np.int64)
+        else:
+            level = _next_odd(one_back, two_back)
+        two_back, one_back = one_back, level
+        yield level
+
+
+def _full_table(m: int, odd: np.ndarray) -> AutocorrTable:
+    """The aperiodic table of order ``m`` from its compact level."""
+    n = 1 << m
+    values = np.zeros(n + 1, dtype=np.int64)  # shift 2^m has zero overlap
+    values[0] = n
+    values[1:n:2] = odd
+    return AutocorrTable(m, "aperiodic", values)
+
+
+def _odd_value(odd: np.ndarray, k: int) -> int:
+    """``C_m(k)`` for an odd shift ``0 < k < 2^m``, from the compact level."""
+    return int(odd[k >> 1])
+
+
+def _sum_squares(v: np.ndarray) -> int:
+    """Exact ``sum(v**2)`` as a Python int.
+
+    The values are summed in chunks of :data:`_SUM_CHUNK`, small enough to
+    stay in cache across the chunk's three passes.  A chunk's int64 dot
+    product is exact while ``size * max|v|^2 < 2^63``; past that bound the
+    chunk is summed in Python ints.
+    """
+    total = 0
+    for start in range(0, v.size, _SUM_CHUNK):
+        chunk = v[start : start + _SUM_CHUNK]
+        peak = _abs_peak(chunk)
+        if chunk.size * peak * peak < 1 << 63:
+            total += int(np.dot(chunk, chunk))
+        else:
+            total += sum(x * x for x in chunk.tolist())
+    return total
+
+
+def _abs_peak(v: np.ndarray) -> int:
+    """``max|v|`` of a nonempty array, without an absolute-value copy."""
+    return max(int(v.max()), -int(v.min()))
+
+
+def _odd_peak(odd: np.ndarray, signed: bool) -> tuple[int, int, bool]:
+    """``(k, C_m(k), unique)`` for the smallest ``0 < k < 2^m`` maximising
+    ``C_m(k)`` (``signed``) or ``|C_m(k)|``, from the compact level.
+
+    ``unique`` is False when another such shift attains the same maximum.
+    The even shifts hold 0 and the odd ones odd values, so the zeros win
+    only a signed scan whose odd values are all negative: then ``k = 2``,
+    unique only when it is the sole even shift (order 2).  No temporary is
+    made: a tie after the first maximiser shows in the maximum (or
+    minimum) of the tail behind it.
+    """
+    hi = int(np.argmax(odd))
+    top = int(odd[hi])
+    if signed:
+        if top < 0 and odd.size > 1:
+            return 2, 0, odd.size == 2
+        return 2 * hi + 1, top, hi + 1 == odd.size or int(odd[hi + 1 :].max()) < top
+    lo = int(np.argmin(odd))
+    bottom = int(odd[lo])
+    if top == -bottom:  # top > 0 > bottom: two maximisers of |C|
+        return 2 * min(hi, lo) + 1, int(odd[min(hi, lo)]), False
+    if top > -bottom:
+        return 2 * hi + 1, top, hi + 1 == odd.size or int(odd[hi + 1 :].max()) < top
+    return 2 * lo + 1, bottom, lo + 1 == odd.size or int(odd[lo + 1 :].min()) > bottom
+
+
 def _periodic_from(m: int, lower: np.ndarray | None) -> AutocorrTable:
-    """Order-``m`` periodic table from the order-``m-2`` aperiodic values.
+    """Order-``m`` periodic table from the compact order-``m-2`` level.
 
     From order 2 on, odd shifts in the middle two quarters carry
-    ``4 C_{m-2}(|2^(m-1) - k|)`` and every other nonzero shift vanishes;
-    orders 0 and 1 are literal and ignore ``lower``.
+    ``4 C_{m-2}(|2^(m-1) - k|)``: the level reversed on Q2 and forward on
+    Q3.  Every other nonzero shift vanishes; orders 0 and 1 are literal and
+    ignore ``lower``.
     """
     if m < 2:
         return AutocorrTable(m, "periodic", np.array(_PERIODIC_SEEDS[m], dtype=np.int64))
@@ -219,59 +349,66 @@ def _periodic_from(m: int, lower: np.ndarray | None) -> AutocorrTable:
     q, h = n >> 2, n >> 1
     out = np.zeros(n, dtype=np.int64)
     out[0] = n
-    np.multiply(lower[q - 1 : 0 : -2], 4, out=out[q + 1 : h : 2])
-    np.multiply(lower[1:q:2], 4, out=out[h + 1 : 3 * q : 2])
+    np.multiply(lower[::-1], 4, out=out[q + 1 : h : 2])
+    np.multiply(lower, 4, out=out[h + 1 : 3 * q : 2])
     return AutocorrTable(m, "periodic", out)
 
 
 def iter_aperiodic_tables(
     m_max: int, max_order: int = DEFAULT_MAX_ORDER
 ) -> Iterator[AutocorrTable]:
-    """Yield aperiodic tables for m = 0..m_max, keeping two levels of state.
+    """Yield aperiodic tables for m = 0..m_max from one compact ladder.
 
-    Raises :class:`OrderTooLargeError` before the first level if the ladder
-    to ``m_max`` would not fit in available memory.
+    Each level is expanded to a full table as it is yielded.  At order
+    ``m`` about ``18 * 2^m`` bytes are alive: compact levels ``m-1`` and
+    ``m``, table ``m`` and the table ``m-1`` a ``for`` loop still holds.
+    Raises :class:`OrderTooLargeError` before the first level if that
+    would not fit in available memory at ``m_max``.
     """
-    check_order(m_max, max_order)
-    _check_memory(_ladder_bytes(m_max), f"the aperiodic ladder to order {m_max}")
-    prev1 = prev2 = None
-    for m in range(m_max + 1):
-        if m <= 2:
-            vals = np.array(_APERIODIC_SEEDS[m], dtype=np.int64)
-        else:
-            vals = _next_aperiodic(prev1, prev2, m)
-        prev2, prev1 = prev1, vals
-        yield AutocorrTable(m, "aperiodic", vals)
+    for m, odd in enumerate(_odd_levels(m_max, max_order, "the aperiodic tables")):
+        yield _full_table(m, odd)
 
 
 def aperiodic_table_fast(m: int, max_order: int = DEFAULT_MAX_ORDER) -> AutocorrTable:
-    """Aperiodic table via the four-quarter recurrence (O(2^m) per level)."""
-    for table in iter_aperiodic_tables(m, max_order):
+    """Aperiodic table via the four-quarter recurrence (O(2^m) per level).
+
+    The ladder runs on compact levels and only the last one is expanded,
+    after the lower levels are freed: about ``12 * 2^m`` bytes at the peak.
+    """
+    for odd in _odd_levels(m, max_order, "the aperiodic table"):
         pass
-    return table
+    return _full_table(m, odd)
 
 
 def periodic_table(m: int, max_order: int = DEFAULT_MAX_ORDER) -> AutocorrTable:
     """Periodic table via the closed form on the four quarters.
 
     Orders 0 and 1 are literal; from order 2 on the table is derived from
-    the aperiodic table of order ``m - 2``.
+    the compact aperiodic level of order ``m - 2``: about ``9 * 2^m`` bytes
+    at the peak.
     """
     check_order(m, max_order)
     if m < 2:
         return _periodic_from(m, None)
-    _check_memory(8 * (1 << m) + _ladder_bytes(m - 2), f"the periodic table of order {m}")
-    return _periodic_from(m, aperiodic_table_fast(m - 2, max_order).values)
+    _check_memory("the periodic table", m)
+    for lower in _odd_levels(m - 2, max_order, None):
+        pass
+    return _periodic_from(m, lower)
 
 
 def iter_table_pairs(
     m_max: int, max_order: int = DEFAULT_MAX_ORDER
 ) -> Iterator[tuple[AutocorrTable, AutocorrTable]]:
-    """Yield ``(aperiodic, periodic)`` tables of orders 0..m_max from one ladder."""
+    """Yield ``(aperiodic, periodic)`` tables of orders 0..m_max from one ladder.
+
+    At order ``m`` about ``31 * 2^m`` bytes are alive: compact levels
+    ``m-2..m``, both tables of order ``m`` and the pair of order ``m-1`` a
+    ``for`` loop still holds.
+    """
     two_back = one_back = None
-    for table in iter_aperiodic_tables(m_max, max_order):
-        yield table, _periodic_from(table.m, two_back)
-        two_back, one_back = one_back, table.values
+    for m, odd in enumerate(_odd_levels(m_max, max_order, "the table pairs")):
+        yield _full_table(m, odd), _periodic_from(m, two_back)
+        two_back, one_back = one_back, odd
 
 
 @dataclass(frozen=True)

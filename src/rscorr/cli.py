@@ -199,8 +199,8 @@ def _cmd_merit(cfg: RunConfig) -> int:
 
 def _cmd_plotdata(cfg: RunConfig) -> int:
     table = ac.aperiodic_table_fast(cfg.m)
-    rows = table.values[1 : 1 << cfg.m].tolist()
-    _emit("".join(["k,abs_C\n"] + [f"{k},{abs(v)}\n" for k, v in enumerate(rows, 1)]), cfg.out)
+    rows = ac._csv_rows(table.values[1 : 1 << cfg.m], first=1, absolute=True)
+    _emit("".join(["k,abs_C\n", *rows]), cfg.out)
     return 0
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autocorr import iter_aperiodic_tables
+from .autocorr import _abs_peak, _odd_levels
 from .cubic import real_cubic_root
 from .recurrence import MA, MB, REVERSAL, STEP, SWAP
 from .sequences import DEFAULT_MAX_ORDER, check_order
@@ -318,9 +318,9 @@ def max_ratios(m_max: int, max_order: int = DEFAULT_MAX_ORDER) -> list[tuple[int
     check_order(m_max, max_order)
     lam = eigen_constants().lam
     out = []
-    for table in iter_aperiodic_tables(m_max, max_order):
-        if table.m >= 1:
-            out.append((table.m, float(np.max(np.abs(table.values[1:]))) / lam**table.m))
+    for m, odd in enumerate(_odd_levels(m_max, max_order)):
+        if m >= 1:
+            out.append((m, _abs_peak(odd) / lam**m))
     return out
 
 

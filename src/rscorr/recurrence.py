@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .autocorr import iter_aperiodic_tables
+from .autocorr import _odd_levels, _odd_value, iter_aperiodic_tables
 from .sequences import DEFAULT_MAX_ORDER, check_order
 
 #: Level-step matrix of the recurrence (middle-quarter case).
@@ -124,17 +124,17 @@ def t_factor(label: str) -> np.ndarray:
 
 
 def v_direct(m: int, k: int, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
-    """Read ``v_m(k)`` straight out of the autocorrelation tables."""
+    """Read ``v_m(k)`` straight out of the autocorrelation values of orders
+    ``m`` and ``m-1`` (the compact ladder; all three shifts are odd)."""
     check_order(m, max_order)
     interval_label(k, m)  # validates k
     n = 1 << m
-    tables = {}
-    for t in iter_aperiodic_tables(m, max_order):
-        if t.m >= m - 1:
-            tables[t.m] = t
+    prev = top = None
+    for level in _odd_levels(m, max_order):
+        prev, top = top, level
     k_prev = k if k <= n >> 1 else n - k
     return np.array(
-        [tables[m][k], tables[m][n - k], tables[m - 1][k_prev]], dtype=np.int64
+        [_odd_value(top, k), _odd_value(top, n - k), _odd_value(prev, k_prev)], dtype=np.int64
     )
 
 

@@ -44,7 +44,8 @@ class BinarySeq:
         terms = np.asarray(self.terms, dtype=np.int8)
         if terms.shape != (1 << self.m,):
             raise ValueError(f"expected {1 << self.m} terms for order {self.m}, got {terms.shape}")
-        if not np.all(np.abs(terms) == 1):
+        # -1 <= t <= 1 and t != 0, by reductions that copy nothing
+        if terms.min() < -1 or terms.max() > 1 or np.count_nonzero(terms) != terms.size:
             raise ValueError("all terms must be -1 or +1")
         if terms[0] != 1:
             raise ValueError("first term must be +1")
@@ -64,13 +65,19 @@ class BinarySeq:
         return int(self.terms[i])
 
     def text(self, style: str = "symbols") -> str:
-        """Render as ``"+ + - ..."`` (``symbols``) or ``"++-..."`` (``compact``)."""
-        glyphs = ["+" if t > 0 else "-" for t in self.terms.tolist()]
+        """Render as ``"+ + - ..."`` (``symbols``) or ``"++-..."`` (``compact``).
+
+        The text is built in one uint8 buffer and decoded once.
+        """
+        glyphs = (44 - self.terms).view(np.uint8)  # "+" is 43, "-" is 45
         if style == "symbols":
-            return " ".join(glyphs)
-        if style == "compact":
-            return "".join(glyphs)
-        raise ValueError(f"unknown style {style!r}")
+            buf = np.full(2 * glyphs.size - 1, ord(" "), dtype=np.uint8)
+            buf[::2] = glyphs
+        elif style == "compact":
+            buf = glyphs
+        else:
+            raise ValueError(f"unknown style {style!r}")
+        return str(buf.data, "ascii")
 
 
 def rs_term(i: int) -> int:

@@ -17,13 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .autocorr import AutocorrTable, iter_aperiodic_tables
+from .autocorr import _odd_levels, _odd_peak, _sum_squares
 from .recurrence import nearest_third
 from .sequences import DEFAULT_MAX_ORDER, check_order, rs_sequence
-
-
-def _merit(table: AutocorrTable) -> Fraction:
-    return Fraction(4**table.m, 2 * table.sum_squares())
 
 
 def merit_factor(m: int, max_order: int = DEFAULT_MAX_ORDER) -> Fraction:
@@ -31,10 +27,9 @@ def merit_factor(m: int, max_order: int = DEFAULT_MAX_ORDER) -> Fraction:
     check_order(m, max_order)
     if m < 1:
         raise ValueError("order must be >= 1")
-    table = None
-    for table in iter_aperiodic_tables(m, max_order):
+    for odd in _odd_levels(m, max_order):
         pass
-    return _merit(table)
+    return Fraction(4**m, 2 * _sum_squares(odd))
 
 
 def merit_factor_series(
@@ -44,7 +39,11 @@ def merit_factor_series(
     (empty when ``m_max < 1``)."""
     if m_max < 1:
         return []
-    return [(t.m, _merit(t)) for t in iter_aperiodic_tables(m_max, max_order) if t.m >= 1]
+    return [
+        (m, Fraction(4**m, 2 * _sum_squares(odd)))
+        for m, odd in enumerate(_odd_levels(m_max, max_order))
+        if m >= 1
+    ]
 
 
 def sum_squares_ratio(m: int, max_order: int = DEFAULT_MAX_ORDER) -> Fraction:
@@ -101,18 +100,6 @@ class MaxShiftRecord:
         return (self.m, self.k_star, self.value, self.unique, self.ell, self.abs_gap, self.ratio)
 
 
-def _record_from_values(m: int, values: np.ndarray, signed: bool) -> MaxShiftRecord:
-    body = values[1 : 1 << m] if m >= 1 else values[1:]
-    key = body if signed else np.abs(body)
-    peak = int(np.max(key))
-    k_star = int(np.argmax(key)) + 1  # smallest attaining shift
-    unique = int(np.sum(key == peak)) == 1
-    ell = nearest_third(m)
-    return MaxShiftRecord(
-        m, k_star, int(values[k_star]), unique, ell, abs(k_star - ell), k_star / ell
-    )
-
-
 def max_shift(m: int, signed: bool = False, max_order: int = DEFAULT_MAX_ORDER) -> MaxShiftRecord:
     """Scan the fast table for the maximal shift of one order."""
     check_order(m, max_order)
@@ -136,9 +123,13 @@ def conjecture_table(
     if m_min < 1 or m_max < m_min:
         raise ValueError("need 1 <= m_min <= m_max")
     out = []
-    for table in iter_aperiodic_tables(m_max, max_order):
-        if table.m >= m_min:
-            out.append(_record_from_values(table.m, table.values, signed))
+    for m, odd in enumerate(_odd_levels(m_max, max_order)):
+        if m >= m_min:
+            k_star, value, unique = _odd_peak(odd, signed)
+            ell = nearest_third(m)
+            out.append(
+                MaxShiftRecord(m, k_star, value, unique, ell, abs(k_star - ell), k_star / ell)
+            )
     return out
 
 

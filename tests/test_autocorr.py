@@ -19,6 +19,7 @@ from rscorr.autocorr import (
 from rscorr.cli import main
 from rscorr.recurrence import v_product
 from rscorr.sequences import OrderTooLargeError, rs_sequence
+from rscorr.stats import merit_factor
 
 EXAMPLE = [-1, 1, 1, -1]
 
@@ -177,10 +178,17 @@ def test_table_pairs_match_single_calls():
 
 def test_memory_guard_raises_before_allocating(monkeypatch, capsys):
     monkeypatch.setattr(autocorr, "_mem_available", lambda: 1 << 20)
-    with pytest.raises(OrderTooLargeError, match=str(autocorr._ladder_bytes(20))):
+    estimate = autocorr._PEAK_UNITS["the aperiodic tables"] << 20
+    with pytest.raises(OrderTooLargeError, match=f"the aperiodic tables of order 20 .* {estimate} "):
         next(iter_aperiodic_tables(20))
+    with pytest.raises(OrderTooLargeError, match="the aperiodic table of order 20"):
+        aperiodic_table_fast(20)
     with pytest.raises(OrderTooLargeError, match="periodic table of order 20"):
         periodic_table(20)
+    with pytest.raises(OrderTooLargeError, match="the table pairs of order 20"):
+        next(iter_table_pairs(20))
+    with pytest.raises(OrderTooLargeError, match="the aperiodic ladder of order 20"):
+        merit_factor(20)
     assert main(["table", "--m-max", "20"]) == 2
     assert "bytes" in capsys.readouterr().err
     # small orders fit, and an unknown budget never blocks
@@ -190,9 +198,23 @@ def test_memory_guard_raises_before_allocating(monkeypatch, capsys):
 
 
 def test_ladder_estimate():
-    # levels m-2, m-1 and m alive together: 1.75 * 8 * 2^m bytes plus the +1 entries
-    assert autocorr._ladder_bytes(24) == 14 * (1 << 24) + 24
-    assert autocorr._ladder_bytes(30) > 8 << 30
+    # each estimate is the sum of the arrays its builder holds at the peak:
+    # compact levels m-2, m-1, m and full tables of order m (m-1 for the one
+    # a for loop still holds), up to the one extra entry of an aperiodic table
+    m = 10
+    levels = [level.nbytes for level in autocorr._odd_levels(m)]
+    ap = aperiodic_table_fast(m).values.nbytes
+    ap_prev = aperiodic_table_fast(m - 1).values.nbytes
+    pe = periodic_table(m).values.nbytes
+    pe_prev = periodic_table(m - 1).values.nbytes
+    held = {
+        "the aperiodic ladder": sum(levels[-3:]),
+        "the aperiodic table": levels[-1] + ap - 8,
+        "the aperiodic tables": sum(levels[-2:]) + ap + ap_prev - 16,
+        "the periodic table": levels[-3] + pe,
+        "the table pairs": sum(levels[-3:]) + ap + pe + ap_prev + pe_prev - 16,
+    }
+    assert held == {builder: units << m for builder, units in autocorr._PEAK_UNITS.items()}
 
 
 def test_csv_export():
@@ -224,3 +246,60 @@ def test_table_type_validation():
         AutocorrTable(2, "weird", np.zeros(5, dtype=np.int64))
     with pytest.raises(OrderTooLargeError):
         aperiodic_table_fast(31)
+
+
+def test_compact_levels_are_the_odd_shifts():
+    for m, level in enumerate(autocorr._odd_levels(12)):
+        n = 1 << m
+        table = aperiodic_table_naive(m).values
+        assert level.dtype == np.int64 and level.size == n >> 1
+        assert np.array_equal(level, table[1:n:2]), m
+        assert np.all(level % 2 == 1)  # odd, hence never zero
+
+
+def test_compact_sum_squares_switches_at_int64_bound(monkeypatch):
+    # per chunk: size * max|v|^2 < 2^63 takes the int64 dot, anything from
+    # 2^63 on takes Python ints, even where the exact total would still fit
+    calls = []
+    dot = np.dot
+    monkeypatch.setattr(autocorr.np, "dot", lambda a, b: calls.append(a.size) or dot(a, b))
+    chunk = autocorr._SUM_CHUNK
+    two_chunks = [1] * chunk + [-(1 << 31), 3]  # only the second chunk crosses the bound
+    for level, dotted in (
+        ([(1 << 31) - 1, -((1 << 31) - 1)], [2]),  # 2 * (2^31 - 1)^2 < 2^63
+        ([1 << 31, -((1 << 31) - 1)], []),  # 2 * (2^31)^2 == 2^63
+        ([3, 3_037_000_500, -1], []),  # one square alone exceeds 2^63
+        (two_chunks, [chunk]),
+        ([], []),
+    ):
+        calls.clear()
+        total = autocorr._sum_squares(np.array(level, dtype=np.int64))
+        assert isinstance(total, int)
+        assert total == sum(v * v for v in level)
+        assert calls == dotted, level[-3:]
+
+
+def _naive_int64(m, kind):
+    seq = rs_sequence(m).terms.astype(np.int64)
+    n = seq.size
+    if kind == "aperiodic":
+        return [int(np.dot(seq[: n - k], seq[k:])) for k in range(n)] + [0]
+    return [int(np.dot(seq, np.roll(seq, -k))) for k in range(n)]
+
+
+def test_float64_oracle_matches_int64_reference():
+    for m in range(13):
+        assert aperiodic_table_naive(m).values.tolist() == _naive_int64(m, "aperiodic"), m
+        assert periodic_table_naive(m).values.tolist() == _naive_int64(m, "periodic"), m
+
+
+def _csv_fstrings(values, header, first=0, absolute=False):
+    rows = [f"{k},{abs(v) if absolute else v}\n" for k, v in enumerate(values.tolist(), first)]
+    return "".join([header] + rows)
+
+
+@pytest.mark.parametrize("m", range(18))
+def test_csv_bytes_match_fstring_rendering(m):
+    # orders 16 and 17 cross the 65,536-row chunk boundary
+    for table in (aperiodic_table_fast(m), periodic_table(m)):
+        assert table.to_csv() == _csv_fstrings(table.values, "k,value\n"), (table.kind, m)

@@ -216,6 +216,18 @@ PINNED_OUTPUTS = {
         "1d81770dac0bc30d51fa643b0458bfafdbba6f0142df2ded6f2537fdb1f920ac",
     ("verify", "theorem12", "--m-max", "11"):
         "3fb48c37b2fd685414a3dad3af0decf94905b18f1728068927238c28dd80dbd0",
+    ("autocorr", "--m", "17"):
+        "f0e612cffa6d0b009993dea1ced2682c64c17e290e75de5d2fa71546b1e17659",
+    ("autocorr", "--m", "17", "--kind", "periodic"):
+        "476fc309fd6df4b058f51344445710d81d5ade8236d481b1f0299603685b82fc",
+    ("plotdata", "--m", "17"):
+        "a38c228a347037e147ff70c43a26f1c1899f114a1478d445b6c688bbc43ef6c8",
+    ("gen", "--m", "17"):
+        "dcedd7236cbf56a1753807b689a2b39729222161ab61c96f5167ecefd737e9f5",
+    ("table", "--m-max", "18", "--signed"):
+        "ffdd8c579af399b5aa26988a1d851180676fdcaa435698773ac1191bad3d0d00",
+    ("merit", "--m-max", "20"):
+        "276aeead35771da129363467033ac27bab485e83623d1dda84b7e194ab44a2b8",
 }
 
 
@@ -224,3 +236,11 @@ def test_pinned_output_bytes(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv]
+
+
+@pytest.mark.parametrize("m", range(18))
+def test_plotdata_bytes_match_fstring_rendering(capsys, m):
+    # order 0 has no rows; orders 16 and 17 cross the 65,536-row chunk boundary
+    rows = autocorr.aperiodic_table_fast(m).values[1 : 1 << m].tolist()
+    expected = "".join(["k,abs_C\n"] + [f"{k},{abs(v)}\n" for k, v in enumerate(rows, 1)])
+    assert run(capsys, "plotdata", "--m", str(m)) == (0, expected, "")

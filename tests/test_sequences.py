@@ -118,6 +118,25 @@ def test_text_styles():
         seq.text("hex")
 
 
+def test_binary_seq_rejects_every_non_sign():
+    for bad in (0, 2, -2, 127, -128):
+        for pos in (1, 3):
+            terms = [1, 1, 1, -1]
+            terms[pos] = bad
+            with pytest.raises(ValueError, match="-1 or \\+1"):
+                BinarySeq(2, terms)
+
+
+def test_text_matches_per_term_rendering():
+    rng = np.random.default_rng(3)
+    seqs = [rs_sequence(m) for m in range(13)]
+    seqs += [generalized_sequence(m, rng.integers(0, 2, size=m).tolist()) for m in range(1, 11)]
+    for seq in seqs:
+        glyphs = ["+" if t > 0 else "-" for t in seq.terms.tolist()]
+        assert seq.text() == " ".join(glyphs)
+        assert seq.text("compact") == "".join(glyphs)
+
+
 def test_shapiro_eval_at_zero():
     assert shapiro_eval(1, 0.0) == pytest.approx(2 + 0j)
     assert shapiro_eval(2, 0.0) == pytest.approx(2 + 0j)

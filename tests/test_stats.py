@@ -3,9 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rscorr.autocorr import aperiodic_table_fast
+from rscorr import autocorr
+from rscorr.autocorr import aperiodic_table_fast, iter_aperiodic_tables
+from rscorr.recurrence import nearest_third
 from rscorr.sequences import shapiro_eval
 from rscorr.stats import (
+    MaxShiftRecord,
     _fourth_powers,
     conjecture_table,
     exact_match_orders,
@@ -148,3 +151,44 @@ def test_validation():
         max_shift(0)
     with pytest.raises(ValueError):
         conjecture_table(2)
+
+
+def _record_from_values(m, values, signed):
+    """Full-table reference: the scan over ``values[1:2^m]`` that the compact
+    records replace (smallest maximising shift, ``unique`` flag)."""
+    body = values[1 : 1 << m] if m >= 1 else values[1:]
+    key = body if signed else np.abs(body)
+    peak = int(np.max(key))
+    k_star = int(np.argmax(key)) + 1
+    unique = int(np.sum(key == peak)) == 1
+    ell = nearest_third(m)
+    return MaxShiftRecord(
+        m, k_star, int(values[k_star]), unique, ell, abs(k_star - ell), k_star / ell
+    )
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_compact_records_match_full_table_scan(signed):
+    expected = [
+        _record_from_values(t.m, t.values, signed) for t in iter_aperiodic_tables(20) if t.m >= 1
+    ]
+    assert conjecture_table(20, signed, m_min=1) == expected
+    assert conjecture_table(20, signed) == expected[2:]
+    assert max_shift(20, signed) == expected[-1]
+
+
+def test_compact_peak_ties_and_negative_levels():
+    # hand-built levels with many ties, and all-negative ones where the even
+    # shifts' zeros win a signed scan
+    rng = np.random.default_rng(5)
+    levels = [[-1], [-3, -1], [-1, -3], [3, -3], [-3, 3], [1, -1, 3, -3], [-5, -3, -5, -1]]
+    levels += [rng.choice([-5, -3, -1, 1, 3, 5], size=1 << (m - 1)).tolist()
+               for m in range(1, 8) for _ in range(40)]
+    for level in levels:
+        odd = np.array(level, dtype=np.int64)
+        m = odd.size.bit_length()
+        values = autocorr._full_table(m, odd).values
+        for signed in (False, True):
+            ref = _record_from_values(m, values, signed)
+            assert autocorr._odd_peak(odd, signed) == (ref.k_star, ref.value, ref.unique), (
+                level, signed)
