@@ -2,8 +2,12 @@
 
 Every table can be computed two ways: by the direct O(4^m) summation over
 shifted products (the oracle), or by a structural recurrence that fills
-order ``m`` from orders ``m-1`` and ``m-2`` in O(2^m).  The recurrence
-splits odd shifts into the four open dyadic quarters of ``(0, 2^m)``:
+order ``m`` from orders ``m-1`` and ``m-2`` in O(2^m).  The oracle forms
+each shifted product once, in blocked matrix products of the sequence
+with its padded copy, and sums each entry's products along one diagonal
+of a block: still a direct sum, with no FFT or recurrence behind it.
+The recurrence splits odd shifts into the four open dyadic quarters of
+``(0, 2^m)``:
 
     Q1 = (0, 2^(m-2))          C_m(k) =  C_{m-1}(2^(m-1) - k)
     Q2 = (2^(m-2), 2^(m-1))    C_m(k) =  C_{m-1}(2^(m-1) - k) + 2 C_{m-2}(2^(m-1) - k)
@@ -26,7 +30,7 @@ compact levels through the helpers here.
 
 Each builder estimates the bytes alive at its peak, in units of ``2^m``
 bytes at order ``m`` (the compact levels ``m-2``, ``m-1`` and ``m`` take
-1, 2 and 4 units, a full table 8): 7 for the bare ladder, 12 for
+1, 2 and 4 units, a full table 8): 7 for the bare ladder, 11 for
 :func:`aperiodic_table_fast`, 9 for :func:`periodic_table`, 18 for
 :func:`iter_aperiodic_tables` and 31 for :func:`iter_table_pairs`.  It
 compares that estimate with the memory the machine has available before
@@ -142,24 +146,61 @@ class AutocorrTable:
         return None
 
 
+#: Bytes of the products ``G_r`` that :func:`_naive_table` holds at once
+#: (one offset's ``G_r`` when that alone is larger, from order 16 on).
+_ORACLE_BLOCK = 1 << 18
+
+
 def _naive_table(m: int, kind: str, max_order: int) -> AutocorrTable:
-    """Every entry by one direct O(2^m) dot product over slices of one
-    float64 copy of the sequence; periodic shifts read a doubled copy.
+    """Every entry by a direct sum of its ``2^m`` shifted products, taken as
+    blocked matrix products of one float64 copy of the sequence.
+
+    With ``L = 2^ceil(m/2)`` and ``R = 2^m / L``, the sequence is an
+    ``R x L`` matrix ``S``, and ``p`` is the copy padded to ``2^(m+1) + L``
+    terms: with zeros (aperiodic) or by wrapping around (periodic).  For
+    each offset ``r < L``, ``P_r = p[r : r + 2^(m+1)]`` viewed as a
+    ``2R x L`` matrix gives ``G_r = S @ P_r.T`` with
+    ``G_r[a, b] = sum_j s_(aL+j) p_(bL+j+r)``, so that
+    ``C(qL + r) = sum_a G_r[a, a+q]``, one strided diagonal sum.  Every
+    product ``s_i p_(i+k)`` is formed once and summed into its own entry,
+    so the cost stays O(4^m).  The ``P_r`` of several offsets are one
+    read-only strided view of ``p``, multiplied in one call into one block
+    of at most :data:`_ORACLE_BLOCK` bytes.  The last row of each ``P_r``
+    (and so the last ``L`` terms of ``p``) feeds only column ``2R - 1``,
+    which no diagonal reads; it keeps every ``P_r`` a full ``2R x L`` view.
 
     float64 is exact here in any summation order: every partial sum is an
-    integer of magnitude at most ``2^m <= 2^30 < 2^53``.
+    integer of magnitude at most ``2^m <= 2^30 < 2^53``.  No FFT, recurrence
+    or ``np.correlate`` is used: an FFT and the recurrence are not direct
+    sums, and ``np.correlate`` is the tests' independent reference.
     """
     seq = np.asarray(rs_sequence(m, max_order), dtype=np.float64)
     n = seq.size
+    cols = 1 << (m + 1) // 2
+    rows = n // cols
     if kind == "aperiodic":
+        padded = np.concatenate((seq, np.zeros(n + cols)))
         vals = np.zeros(n + 1, dtype=np.int64)  # shift n has no overlap
-        for k in range(n):
-            vals[k] = np.dot(seq[: n - k], seq[k:])
     else:
-        doubled = np.concatenate((seq, seq))
+        padded = np.concatenate((seq, seq, seq[:cols]))
         vals = np.empty(n, dtype=np.int64)
-        for k in range(n):
-            vals[k] = np.dot(seq, doubled[k : k + n])
+    step = padded.itemsize
+    # windows[r] is P_r: windows[r, b, j] = p[r + b L + j]
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (cols, 2 * rows, cols), (step, cols * step, step), writeable=False
+    )
+    matrix = seq.reshape(rows, cols)
+    chunk = min(cols, max(1, _ORACLE_BLOCK // (2 * rows * rows * step)))
+    block = np.empty((chunk, rows, 2 * rows))
+    # diagonals[i, q, a] is G_(r0+i)[a, a+q] for the offsets r0.. in the block
+    diagonals = np.lib.stride_tricks.as_strided(
+        block, (chunk, rows, rows), (2 * rows * rows * step, step, (2 * rows + 1) * step),
+        writeable=False,
+    )
+    table = vals[:n].reshape(rows, cols)  # table[q, r] is C(qL + r)
+    for r0 in range(0, cols, chunk):  # both powers of two: every block is full
+        np.matmul(matrix, windows[r0 : r0 + chunk].transpose(0, 2, 1), out=block)
+        table[:, r0 : r0 + chunk] = diagonals.sum(axis=2).T
     return AutocorrTable(m, kind, vals)
 
 
@@ -187,7 +228,7 @@ _PERIODIC_SEEDS = ([1], [2, 2])
 #: generators count that item too.
 _PEAK_UNITS = {
     "the aperiodic ladder": 7,  # levels m-2, m-1, m
-    "the aperiodic table": 12,  # level m, table m
+    "the aperiodic table": 11,  # levels m-2, m-1, table m
     "the aperiodic tables": 18,  # levels m-1, m, table m, the caller's table m-1
     "the periodic table": 9,  # level m-2, table m
     "the table pairs": 31,  # levels m-2, m-1, m, two tables m, the caller's pair m-1
@@ -218,7 +259,9 @@ def _check_memory(builder: str, m: int) -> None:
         )
 
 
-def _next_odd(one_back: np.ndarray, two_back: np.ndarray) -> np.ndarray:
+def _next_odd(
+    one_back: np.ndarray, two_back: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """One recurrence step on compact levels: order ``m`` from ``m-1`` and ``m-2``.
 
     With ``e = 2^(m-3)`` entries per quarter, ``a = one_back`` (``2e``
@@ -228,11 +271,13 @@ def _next_odd(one_back: np.ndarray, two_back: np.ndarray) -> np.ndarray:
         Q1 = a[e:] reversed        Q2 = (a[:e] + 2 b) reversed
         Q3 = 2 b - a[:e]           Q4 = -a[e:]
 
-    each written in place with no temporary.
+    each written in place with no temporary, into ``out`` (``4e`` entries,
+    any stride) when given, else into a new array.
     """
     e = two_back.size
     a_low, a_high = one_back[:e], one_back[e:]
-    out = np.empty(4 * e, dtype=np.int64)
+    if out is None:
+        out = np.empty(4 * e, dtype=np.int64)
     out[:e] = a_high[::-1]
     quarter = out[e : 2 * e]
     np.multiply(two_back[::-1], 2, out=quarter)
@@ -271,18 +316,25 @@ def _odd_levels(
         yield level
 
 
-def _full_table(m: int, odd: np.ndarray) -> AutocorrTable:
-    """The aperiodic table of order ``m`` from its compact level."""
+def _blank_table(m: int) -> np.ndarray:
+    """Aperiodic values of order ``m`` with every odd shift still 0."""
     n = 1 << m
     values = np.zeros(n + 1, dtype=np.int64)  # shift 2^m has zero overlap
     values[0] = n
-    values[1:n:2] = odd
+    return values
+
+
+def _full_table(m: int, odd: np.ndarray) -> AutocorrTable:
+    """The aperiodic table of order ``m`` from its compact level."""
+    values = _blank_table(m)
+    values[1 : 1 << m : 2] = odd
     return AutocorrTable(m, "aperiodic", values)
 
 
-def _odd_value(odd: np.ndarray, k: int) -> int:
-    """``C_m(k)`` for an odd shift ``0 < k < 2^m``, from the compact level."""
-    return int(odd[k >> 1])
+def _odd_values(odd: np.ndarray, shifts):
+    """``C_m(k)`` for an odd shift ``0 < k < 2^m``, or an array of them, from
+    the compact level."""
+    return odd[shifts >> 1]
 
 
 def _sum_squares(v: np.ndarray) -> int:
@@ -372,12 +424,20 @@ def iter_aperiodic_tables(
 def aperiodic_table_fast(m: int, max_order: int = DEFAULT_MAX_ORDER) -> AutocorrTable:
     """Aperiodic table via the four-quarter recurrence (O(2^m) per level).
 
-    The ladder runs on compact levels and only the last one is expanded,
-    after the lower levels are freed: about ``12 * 2^m`` bytes at the peak.
+    The ladder runs on compact levels up to order ``m - 1``, and the last
+    step writes order ``m`` straight into the table's odd shifts: about
+    ``11 * 2^m`` bytes at the peak.
     """
-    for odd in _odd_levels(m, max_order, "the aperiodic table"):
-        pass
-    return _full_table(m, odd)
+    check_order(m, max_order)
+    _check_memory("the aperiodic table", m)
+    if m <= 2:
+        return _full_table(m, _ODD_SEEDS[m])
+    one_back = None
+    for level in _odd_levels(m - 1, max_order, None):
+        two_back, one_back = one_back, level
+    values = _blank_table(m)
+    _next_odd(one_back, two_back, out=values[1 : 1 << m : 2])
+    return AutocorrTable(m, "aperiodic", values)
 
 
 def periodic_table(m: int, max_order: int = DEFAULT_MAX_ORDER) -> AutocorrTable:

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from . import autocorr as ac
@@ -71,7 +72,10 @@ class RunConfig:
     out: Optional[str] = None
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``rscorr`` argument parser, built on first use and then shared:
+    ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="rscorr",
         description="Autocorrelation tables, recurrence checks and JSR estimates "

@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .autocorr import _odd_levels, _odd_value, iter_aperiodic_tables
+from .autocorr import _odd_levels, _odd_values, iter_aperiodic_tables
 from .sequences import DEFAULT_MAX_ORDER, check_order
 
 #: Level-step matrix of the recurrence (middle-quarter case).
@@ -134,7 +134,7 @@ def v_direct(m: int, k: int, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
         prev, top = top, level
     k_prev = k if k <= n >> 1 else n - k
     return np.array(
-        [_odd_value(top, k), _odd_value(top, n - k), _odd_value(prev, k_prev)], dtype=np.int64
+        [_odd_values(top, k), _odd_values(top, n - k), _odd_values(prev, k_prev)], dtype=np.int64
     )
 
 
@@ -340,7 +340,7 @@ def _level_routes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def verify_decomposition(m_max: int, max_order: int = DEFAULT_MAX_ORDER) -> DecompositionReport:
     """Check the product route and the normal-form reconstruction against the
-    tables for every odd shift, orders 3..m_max.
+    compact table levels for every odd shift, orders 3..m_max.
 
     Both routes run batched over all odd shifts of one level
     (:func:`_level_routes`); the scalar :func:`v_product` and
@@ -351,22 +351,21 @@ def verify_decomposition(m_max: int, max_order: int = DEFAULT_MAX_ORDER) -> Deco
     failures = []
     cases = 0
     prev = None
-    for table in iter_aperiodic_tables(m_max, max_order):
-        m = table.m
+    for m, odd in enumerate(_odd_levels(m_max, max_order)):
         if m >= 3:
             n = 1 << m
             shifts, prod, recon = _level_routes(m)
             cases += shifts.size
             k_prev = np.where(shifts <= n >> 1, shifts, n - shifts)
             direct = np.column_stack(
-                [table.values[shifts], table.values[n - shifts], prev[k_prev]]
+                [_odd_values(odd, shifts), _odd_values(odd, n - shifts), _odd_values(prev, k_prev)]
             )
             bad = np.any(direct != prod, axis=1) | np.any(direct != recon, axis=1)
             for i in np.nonzero(bad)[0]:
                 failures.append(
                     (m, int(shifts[i]), direct[i].tolist(), prod[i].tolist(), recon[i].tolist())
                 )
-        prev = table.values
+        prev = odd
     notes = (
         "near-two-thirds shifts: v_m(nearest_third(m)) follows the chain form "
         "(SWAP@STEP)^(m-2) @ (-1, 1, 1); the shorter display "

@@ -57,12 +57,14 @@ def merit_factor_l4(
     """Merit factor from the fourth power mean of ``|q(e^(i theta))|``.
 
     ``q`` is sampled on the uniform grid ``theta_j = 2 pi j / npts`` by one
-    zero-padded FFT of the coefficients (any ``npts``, not only powers of
-    two); the coefficients are real, so the FFT's ``e^(-i j theta)``
-    convention gives the same modulus.  The trapezoid rule on that grid is
-    exact for the trigonometric polynomial ``|q|^4`` once ``npts >= 4 * 2^m``,
-    the required minimum, so the result agrees with :func:`merit_factor`
-    to roundoff.
+    zero-padded real FFT of the coefficients (any ``npts``, not only powers
+    of two).  The coefficients are real, so ``|q|`` at ``theta_(npts-j)``
+    mirrors ``theta_j``: the FFT's half grid ``j = 0..npts//2`` carries the
+    mean, with weight 2 on every bin that has a mirror (all but ``j = 0``
+    and, for even ``npts``, ``j = npts/2``).  The trapezoid rule on the full
+    grid is exact for the trigonometric polynomial ``|q|^4`` once
+    ``npts >= 4 * 2^m``, the required minimum, so the result agrees with
+    :func:`merit_factor` to roundoff.
     """
     check_order(m, max_order)
     if m < 1:
@@ -73,15 +75,20 @@ def merit_factor_l4(
         raise ValueError(
             f"insufficient quadrature: need at least {4 * n} points for order {m}, got {npts}"
         )
-    # periodic trapezoid = plain mean
-    fourth_power_mean = float(np.mean(_fourth_powers(m, npts, max_order)))
+    fourth = _fourth_powers(m, npts, max_order)
+    # periodic trapezoid = plain mean over the full grid, where every bin
+    # 1..(npts-1)//2 of the half grid also stands for its mirror
+    fourth_power_mean = float(fourth.sum() + fourth[1 : (npts + 1) // 2].sum()) / npts
     return n * n / (fourth_power_mean - n * n)
 
 
 def _fourth_powers(m: int, npts: int, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
-    """``|q(e^(i theta_j))|^4`` on ``theta_j = 2 pi j / npts`` by one zero-padded FFT."""
+    """``|q(e^(i theta_j))|^4`` on ``theta_j = 2 pi j / npts`` for
+    ``j = 0..npts//2``, by one zero-padded real FFT."""
     coeffs = rs_sequence(m, max_order).terms.astype(np.float64)
-    return np.abs(np.fft.fft(coeffs, npts)) ** 4
+    fourth = np.abs(np.fft.rfft(coeffs, npts))
+    fourth **= 4
+    return fourth
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,7 +210,7 @@ def test_ladder_estimate():
     pe_prev = periodic_table(m - 1).values.nbytes
     held = {
         "the aperiodic ladder": sum(levels[-3:]),
-        "the aperiodic table": levels[-1] + ap - 8,
+        "the aperiodic table": sum(levels[-3:-1]) + ap - 8,
         "the aperiodic tables": sum(levels[-2:]) + ap + ap_prev - 16,
         "the periodic table": levels[-3] + pe,
         "the table pairs": sum(levels[-3:]) + ap + pe + ap_prev + pe_prev - 16,
@@ -291,6 +292,31 @@ def test_float64_oracle_matches_int64_reference():
     for m in range(13):
         assert aperiodic_table_naive(m).values.tolist() == _naive_int64(m, "aperiodic"), m
         assert periodic_table_naive(m).values.tolist() == _naive_int64(m, "periodic"), m
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_blocked_oracle_against_numpy_correlate(m):
+    # The oracle multiplies an R x L view of the sequence by 2R x L views of
+    # its padded copy, L = 2^ceil(m/2).  Edge layouts: m = 0 and 1 have one
+    # row (R = 1), even m has L = R and odd m has L = 2R.
+    s = rs_sequence(m).terms.astype(np.int64)
+    n = s.size
+    aperiodic = np.correlate(s, s, "full")[n - 1 :].tolist() + [0]
+    periodic = np.correlate(np.concatenate((s, s)), s, "valid")[:n].tolist()
+    assert aperiodic_table_naive(m).values.tolist() == aperiodic
+    assert periodic_table_naive(m).values.tolist() == periodic
+
+
+def test_oracle_peak_memory_at_order_12():
+    for build in (aperiodic_table_naive, periodic_table_naive):
+        build(12)
+        tracemalloc.start()
+        try:
+            build(12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (build.__name__, peak)
 
 
 def _csv_fstrings(values, header, first=0, absolute=False):

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from rscorr import autocorr
+import rscorr
+from rscorr import autocorr, cli
 from rscorr.autocorr import AutocorrTable
 from rscorr.cli import main
 
@@ -184,6 +188,26 @@ def test_outputs_are_deterministic(capsys):
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
+    # one parser serves every call in a process; each call must print and
+    # exit exactly as a fresh `python -m rscorr.cli` does, usage errors too
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(rscorr.__file__))}
+    parser = cli._build_parser()
+    for argv in (
+        ("autocorr",),
+        ("verify", "lemma6", "--m-max", "5"),
+        ("autocorr", "--m", "4", "--kind", "periodic", "--check"),
+        ("autocorr",),
+    ):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "rscorr.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert cli._build_parser() is parser
 
 
 def test_out_file(capsys, tmp_path):

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from rscorr import recurrence
-from rscorr.autocorr import AutocorrTable, aperiodic_table_fast, iter_aperiodic_tables
+from rscorr import autocorr, recurrence
+from rscorr.autocorr import aperiodic_table_fast
 from rscorr.recurrence import (
     MA,
     MB,
@@ -209,14 +209,13 @@ def test_level_routes_reject_non_letter_like_regroup(monkeypatch):
 
 def test_verify_decomposition_reports_corrupted_entry(monkeypatch):
     def corrupted(m_max, max_order):
-        for table in iter_aperiodic_tables(m_max, max_order):
-            if table.m == 6:
-                values = table.values.copy()
-                values[21] += 7
-                table = AutocorrTable(6, "aperiodic", values)
-            yield table
+        for m, level in enumerate(autocorr._odd_levels(m_max, max_order)):
+            if m == 6:
+                level = level.copy()
+                level[21 >> 1] += 7  # the compact level holds C_6(21) at index 10
+            yield level
 
-    monkeypatch.setattr(recurrence, "iter_aperiodic_tables", corrupted)
+    monkeypatch.setattr(recurrence, "_odd_levels", corrupted)
     rep = verify_decomposition(8)
     # C_6(21) feeds v_6(21), v_6(43), v_7(21) and v_7(107); the product and
     # the normal form still carry the true values

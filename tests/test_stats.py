@@ -79,11 +79,12 @@ def test_merit_factor_l4_fft_matches_exact(extra_points):
 
 
 def test_fourth_powers_match_dense_eval():
-    # the FFT grid against the dense direct sum at the same angles; |q| has
-    # exact zeros on some grids, so the tolerance is relative to the peak
+    # the real FFT's half grid j = 0..npts//2 against the dense direct sum
+    # at the same angles; |q| has exact zeros on some grids, so the
+    # tolerance is relative to the peak
     for m in range(1, 10):
         for npts in (4 << m, (4 << m) + 3, 8 << m):
-            theta = 2.0 * np.pi * np.arange(npts) / npts
+            theta = 2.0 * np.pi * np.arange(npts // 2 + 1) / npts
             dense = np.abs(shapiro_eval(m, theta)) ** 4
             got = _fourth_powers(m, npts)
             np.testing.assert_allclose(got, dense, rtol=1e-9, atol=1e-9 * dense.max())
