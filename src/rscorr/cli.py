@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -22,8 +21,17 @@ from . import jsr as jsrmod
 from . import norms, recurrence, stats
 from .sequences import OrderTooLargeError, generalized_sequence, rs_sequence
 
-VERIFY_SUITES = ("recurrences", "lemma4", "theorem12", "decomposition", "lemma6", "remark1")
-_DEFAULT_M_MAX = {"recurrences": 12, "theorem12": 12, "decomposition": 12, "lemma6": 40}
+#: ``verify`` suites in ``--help`` order: name -> (run(m_max, tol), default
+#: ``--m-max``).  Each runner looks its function up at call time, so a
+#: wrapped or patched module attribute is the one that runs.
+VERIFY_SUITES = {
+    "recurrences": (lambda m_max, tol: recurrence.verify_recurrences(m_max), 12),
+    "lemma4": (lambda m_max, tol: norms.verify_power_bounds(tol), None),
+    "theorem12": (lambda m_max, tol: recurrence.verify_periodic_formula(m_max), 12),
+    "decomposition": (lambda m_max, tol: recurrence.verify_decomposition(m_max), 12),
+    "lemma6": (lambda m_max, tol: recurrence.check_floor_ceil_identities(m_max), 40),
+    "remark1": (lambda m_max, tol: norms.conjugation_invariance_check(tolerance=tol), None),
+}
 
 
 def _fmt(x: float) -> str:
@@ -53,25 +61,6 @@ def _emit_json(payload: dict, out: Optional[str]) -> None:
     _emit(json.dumps(_round_floats(payload), indent=2) + "\n", out)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one command plus the flags it consumes."""
-
-    command: str
-    m: Optional[int] = None
-    m_max: Optional[int] = None
-    kind: str = "aperiodic"
-    method: str = "fast"
-    suite: Optional[str] = None
-    depth: int = 8
-    tol: float = 1e-8
-    flips: Optional[str] = None
-    fmt: str = "symbols"
-    check: bool = False
-    signed: bool = False
-    out: Optional[str] = None
-
-
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The ``rscorr`` argument parser, built on first use and then shared:
@@ -98,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run one verification suite, JSON report")
-    p.add_argument("suite", choices=VERIFY_SUITES)
+    p.add_argument("suite", choices=tuple(VERIFY_SUITES))
     p.add_argument("--m-max", dest="m_max", type=int)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out")
@@ -124,87 +113,76 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_gen(cfg: RunConfig) -> int:
-    if cfg.flips is not None:
-        if len(cfg.flips) != cfg.m or set(cfg.flips) - {"0", "1"}:
-            sys.stderr.write(f"--f must be a 0/1 string of length {cfg.m}\n")
+def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.flips is not None:
+        if len(args.flips) != args.m or set(args.flips) - {"0", "1"}:
+            sys.stderr.write(f"--f must be a 0/1 string of length {args.m}\n")
             return 2
-        seq = generalized_sequence(cfg.m, [int(b) for b in cfg.flips])
+        seq = generalized_sequence(args.m, [int(b) for b in args.flips])
     else:
-        seq = rs_sequence(cfg.m)
-    _emit(seq.text(cfg.fmt) + "\n", cfg.out)
+        seq = rs_sequence(args.m)
+    _emit(seq.text(args.fmt) + "\n", args.out)
     return 0
 
 
-def _cmd_autocorr(cfg: RunConfig) -> int:
-    if cfg.kind == "aperiodic":
+def _cmd_autocorr(args: argparse.Namespace) -> int:
+    if args.kind == "aperiodic":
         routes = {"fast": ac.aperiodic_table_fast, "naive": ac.aperiodic_table_naive}
     else:
         routes = {"fast": ac.periodic_table, "naive": ac.periodic_table_naive}
     # --check compares against the other route: the direct-sum oracle for
     # the fast table, the fast table for the oracle.
-    other = "naive" if cfg.method == "fast" else "fast"
-    table = routes[cfg.method](cfg.m)
-    if cfg.check and not (table.values == routes[other](cfg.m).values).all():
+    other = "naive" if args.method == "fast" else "fast"
+    table = routes[args.method](args.m)
+    if args.check and not (table.values == routes[other](args.m).values).all():
         sys.stderr.write(
-            f"check failed: {cfg.kind} table disagrees with the {other} route at m={cfg.m}\n"
+            f"check failed: {args.kind} table disagrees with the {other} route at m={args.m}\n"
         )
         return 1
-    _emit(table.to_csv(), cfg.out, table.default_filename)
+    _emit(table.to_csv(), args.out, table.default_filename)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    m_max = cfg.m_max if cfg.m_max is not None else _DEFAULT_M_MAX.get(cfg.suite)
-    if cfg.suite == "recurrences":
-        report = recurrence.verify_recurrences(m_max)
-    elif cfg.suite == "lemma4":
-        report = norms.verify_power_bounds(cfg.tol)
-    elif cfg.suite == "theorem12":
-        report = recurrence.verify_periodic_formula(m_max)
-    elif cfg.suite == "decomposition":
-        report = recurrence.verify_decomposition(m_max)
-    elif cfg.suite == "lemma6":
-        report = recurrence.check_floor_ceil_identities(m_max)
-    else:  # remark1
-        report = norms.conjugation_invariance_check(tolerance=cfg.tol)
-    _emit_json(report.to_dict(), cfg.out)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    run, default_m_max = VERIFY_SUITES[args.suite]
+    report = run(default_m_max if args.m_max is None else args.m_max, args.tol)
+    _emit_json(report.to_dict(), args.out)
     return 0 if report.passed else 1
 
 
-def _cmd_jsr(cfg: RunConfig) -> int:
-    if cfg.method == "bnb":
-        bracket = jsrmod.bnb_bracket(cfg.depth)
-        _emit_json(bracket.to_dict(), cfg.out)
+def _cmd_jsr(args: argparse.Namespace) -> int:
+    if args.method == "bnb":
+        bracket = jsrmod.bnb_bracket(args.depth)
+        _emit_json(bracket.to_dict(), args.out)
         return 0
-    run = jsrmod.invariant_polytope(tol=cfg.tol)
-    _emit_json(run.to_dict(), cfg.out)
+    run = jsrmod.invariant_polytope(tol=args.tol)
+    _emit_json(run.to_dict(), args.out)
     return 0 if run.success else 1
 
 
-def _cmd_table(cfg: RunConfig) -> int:
+def _cmd_table(args: argparse.Namespace) -> int:
     lines = ["m,k_star,value,unique,ell,abs_gap,ratio"]
-    for rec in stats.conjecture_table(cfg.m_max, signed=cfg.signed):
+    for rec in stats.conjecture_table(args.m_max, signed=args.signed):
         lines.append(
             f"{rec.m},{rec.k_star},{rec.value},{'true' if rec.unique else 'false'},"
             f"{rec.ell},{rec.abs_gap},{_fmt(rec.ratio)}"
         )
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _cmd_merit(cfg: RunConfig) -> int:
+def _cmd_merit(args: argparse.Namespace) -> int:
     lines = ["m,merit_factor"]
-    for m, merit in stats.merit_factor_series(cfg.m_max):
+    for m, merit in stats.merit_factor_series(args.m_max):
         lines.append(f"{m},{_fmt(float(merit))}")
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _cmd_plotdata(cfg: RunConfig) -> int:
-    table = ac.aperiodic_table_fast(cfg.m)
-    rows = ac._csv_rows(table.values[1 : 1 << cfg.m], first=1, absolute=True)
-    _emit("".join(["k,abs_C\n", *rows]), cfg.out)
+def _cmd_plotdata(args: argparse.Namespace) -> int:
+    table = ac.aperiodic_table_fast(args.m)
+    rows = ac._csv_rows(table.values[1 : 1 << args.m], first=1, absolute=True)
+    _emit("".join(["k,abs_C\n", *rows]), args.out)
     return 0
 
 
@@ -222,12 +200,11 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = RunConfig(**{k: v for k, v in vars(ns).items() if v is not None or k == "out"})
     try:
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](args)
     except (OrderTooLargeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -1,15 +1,24 @@
-"""Deterministic cubic root finding: bracketed bisection plus deflation.
+"""Eigenvalues of 3x3 matrices as roots of their characteristic cubic.
 
-A monic real cubic always has a real root inside the Cauchy bound
-``1 + max |coefficient|``; bisection on that bracket is iteration-count
-insensitive, and the remaining pair follows from the quadratic obtained
-by dividing the root out (assembled from root sums/products to avoid
-cancellation).
+This is the package's route to the eigenvalues of the letter products
+(spectral radius, irreducibility test).  ``char_roots`` forms the
+coefficients (trace, sum of principal 2x2 minors, cofactor determinant),
+exact for integer products (see ``char_roots``).  ``solve_cubic`` finds
+one real root by bracketed bisection (a monic real cubic always has one
+inside the Cauchy bound ``1 + max |coefficient|``) and the remaining pair
+from the quadratic obtained by dividing it out, assembled from root
+sums/products to avoid cancellation.  A repeated root is returned exactly
+when it sits on a critical point, so ``2I`` has spectral radius ``2.0``.
+QR eigenvalues of a long non-normal product lose about ``eps * ||W||``
+in each eigenvalue, above 1e-12 relative when the radius is far below
+the norm; exact coefficients carry no such loss.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def _poly(x: float, b: float, c: float, d: float) -> float:
@@ -95,3 +104,25 @@ def solve_cubic(b: float, c: float, d: float) -> tuple[complex, complex, complex
         return complex(r, 0.0), complex(big, 0.0), complex(small, 0.0)
     half = 0.5 * math.sqrt(-disc)
     return complex(r, 0.0), complex(0.5 * s, half), complex(0.5 * s, -half)
+
+
+def char_roots(mat) -> tuple[complex, complex, complex]:
+    """Eigenvalues of a real 3x3 matrix via its characteristic cubic.
+
+    The coefficients are evaluated in float64, which is exact for integer
+    matrices with entries below 2^16 (every partial sum then stays below
+    2^53); every letter product of up to 16 letters qualifies, its largest
+    entry being 3434.  The root order is that of ``solve_cubic``.
+    """
+    a = np.asarray(mat, dtype=np.float64)
+    if a.shape != (3, 3):
+        raise ValueError("expected a 3x3 matrix")
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
+    t = a00 + a11 + a22
+    s = a00 * a11 - a01 * a10 + a00 * a22 - a02 * a20 + a11 * a22 - a12 * a21
+    det = (
+        a00 * (a11 * a22 - a12 * a21)
+        - a01 * (a10 * a22 - a12 * a20)
+        + a02 * (a10 * a21 - a11 * a20)
+    )
+    return solve_cubic(-t, s, -det)

@@ -11,13 +11,12 @@ letters map it into ``scale * P``; its unit ball is then an extremal norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .cubic import solve_cubic
+from .cubic import char_roots
 from .hull3d import DegenerateInputError, Polytope3, convex_hull_3d
 from .norms import spectral_norm
 from .recurrence import MA, MB
@@ -31,21 +30,7 @@ MAX_BNB_DEPTH = 16
 
 def spectral_radius(mat) -> float:
     """Largest eigenvalue modulus via the characteristic cubic."""
-    a = np.asarray(mat, dtype=np.float64)
-    if a.shape != (3, 3):
-        raise ValueError("expected a 3x3 matrix")
-    t = a[0, 0] + a[1, 1] + a[2, 2]
-    s = (
-        a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        + a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-        + a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-    )
-    det = (
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
-    return max(abs(r) for r in solve_cubic(-t, s, -det))
+    return max(abs(r) for r in char_roots(mat))
 
 
 @dataclass(frozen=True)
@@ -53,31 +38,22 @@ class ProductWord:
     """A word over the product alphabet with its exact integer product."""
 
     letters: tuple[str, ...]
-    alphabet: tuple[tuple[str, bytes], ...] = None  # frozen snapshot; None = default
+    matrix: np.ndarray = field(compare=False, repr=False)  # read-only
 
     @staticmethod
     def make(letters: Sequence[str], alphabet: Optional[dict] = None) -> "ProductWord":
         alpha = alphabet or DEFAULT_ALPHABET
-        snap = tuple((name, np.asarray(m, np.int64).tobytes()) for name, m in alpha.items())
-        word = ProductWord(tuple(letters), snap)
-        for letter in word.letters:
-            if letter not in dict(snap):
+        letters = tuple(letters)
+        out = np.eye(3, dtype=np.int64)
+        for letter in letters:
+            if letter not in alpha:
                 raise ValueError(f"letter {letter!r} not in alphabet")
-        return word
+            out = out @ np.asarray(alpha[letter], np.int64)
+        out.setflags(write=False)
+        return ProductWord(letters, out)
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        mats = {
-            name: np.frombuffer(raw, dtype=np.int64).reshape(3, 3)
-            for name, raw in (self.alphabet or ())
-        } or DEFAULT_ALPHABET
-        out = np.eye(3, dtype=np.int64)
-        for letter in self.letters:
-            out = out @ mats[letter]
-        return out
 
 
 @dataclass(frozen=True)
@@ -94,17 +70,6 @@ class IrreducibilityResult:
         }
 
 
-def _eigenvalues(a: np.ndarray):
-    t = a[0, 0] + a[1, 1] + a[2, 2]
-    s = (
-        a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        + a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-        + a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-    )
-    det = float(np.linalg.det(a))
-    return solve_cubic(-t, s, -det)
-
-
 def irreducibility_check(matrices: Sequence = (MA, MB), tol: float = 1e-9) -> IrreducibilityResult:
     """Test for a proper subspace of R^3 invariant under both matrices.
 
@@ -119,8 +84,8 @@ def irreducibility_check(matrices: Sequence = (MA, MB), tol: float = 1e-9) -> Ir
         ("common-eigenvector", (x, y)),
         ("invariant-plane-normal", (x.T, y.T)),
     ):
-        for mu in _eigenvalues(u):
-            for eta in _eigenvalues(w):
+        for mu in char_roots(u):
+            for eta in char_roots(w):
                 stacked = np.vstack([
                     u.astype(complex) - mu * np.eye(3),
                     w.astype(complex) - eta * np.eye(3),
@@ -157,7 +122,6 @@ def bnb_bracket(
     depth: int,
     norm_scale: float = 1.0,
     matrices: Optional[dict] = None,
-    max_depth: int = MAX_BNB_DEPTH,
 ) -> JsrBracket:
     """Branch-and-bound enclosure of the joint spectral radius.
 
@@ -173,8 +137,8 @@ def bnb_bracket(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if depth > max_depth:
-        raise ValueError(f"depth {depth} exceeds the cap {max_depth}")
+    if depth > MAX_BNB_DEPTH:
+        raise ValueError(f"depth {depth} exceeds the cap {MAX_BNB_DEPTH}")
     if not norm_scale > 0:
         raise ValueError("norm_scale must be positive")
     alphabet = matrices or DEFAULT_ALPHABET

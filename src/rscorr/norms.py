@@ -8,10 +8,9 @@ inequality ``||MA^j MB^k|| <= 0.970 lam^(j+k)`` (with its lone exception
 ``j = k = 1``), reconstructs integer matrix powers from the closed-form
 eigendecompositions, and derives the table-level growth diagnostics.
 
-Spectral norms of 3x3 matrices are computed without any general
-linear-algebra dependency: the largest eigenvalue of the Gram matrix is
-the largest root of its characteristic cubic, obtained by damped Newton
-from a Gershgorin upper bound with a bisection fallback.
+Spectral norms, inverses and the symmetric eigenvalues of the
+letter-domination test come from LAPACK (``np.linalg``); the growth
+constants come from the characteristic cubic in ``cubic``.
 """
 
 from __future__ import annotations
@@ -34,51 +33,12 @@ _LOWER_SEED = np.array([-1, 1, 1], dtype=np.int64)
 _LOWER_SEED.setflags(write=False)
 
 
-def _sym3_largest_eig(g: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric 3x3 matrix.
-
-    Newton from the Gershgorin upper bound converges monotonically onto the
-    largest root of the characteristic cubic (the cubic is increasing and
-    convex there); bisection on [smallest Gershgorin bound, upper] covers
-    any degenerate stall.
-    """
-    t = g[0, 0] + g[1, 1] + g[2, 2]
-    s = (
-        g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        + g[0, 0] * g[2, 2] - g[0, 2] * g[2, 0]
-        + g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1]
-    )
-    det = (
-        g[0, 0] * (g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1])
-        - g[0, 1] * (g[1, 0] * g[2, 2] - g[1, 2] * g[2, 0])
-        + g[0, 2] * (g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0])
-    )
-    radii = np.sum(np.abs(g), axis=1)
-    hi = float(np.max(radii))
-    lo = float(np.min(-radii))
-    x = hi
-    for _ in range(100):
-        f = ((x - t) * x + s) * x - det
-        df = (3.0 * x - 2.0 * t) * x + s
-        if df <= 0.0:
-            return real_cubic_root(-t, s, -det, lo=lo - 1.0, hi=hi + 1.0)
-        step = f / df
-        x -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(x)):
-            break
-    return x
-
-
 def spectral_norm(mat) -> float:
     """Largest singular value (2-norm) of a real 3x3 matrix."""
     a = np.asarray(mat, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return 0.0
-    b = a / scale
-    return scale * math.sqrt(max(_sym3_largest_eig(b.T @ b), 0.0))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def frobenius_norm(mat) -> float:
@@ -234,24 +194,12 @@ def verify_power_bounds(tolerance: float = 1e-9) -> BoundReport:
 # closed-form diagonalizations
 # ---------------------------------------------------------------------------
 
-def _adjugate_inverse(p: np.ndarray) -> np.ndarray:
-    c = np.empty((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            rows = [r for r in range(3) if r != i]
-            cols = [s for s in range(3) if s != j]
-            minor = p[np.ix_(rows, cols)]
-            c[i, j] = (-1) ** (i + j) * (minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0])
-    det = p[0, 0] * c[0, 0] + p[0, 1] * c[0, 1] + p[0, 2] * c[0, 2]
-    return c.T / det
-
-
 def _diagonalization(which: str):
     """Closed-form eigenvector matrix and eigenvalues for MA, STEP or AM.
 
-    The inverse is derived from the eigenvector matrix by adjugate rather
-    than taken from a printed closed form, which pins down the sign branch
-    of ``gamma = sqrt(-236)`` unambiguously.
+    The inverse is taken numerically from the eigenvector matrix rather
+    than from a printed closed form: ``p`` fixes the sign branch of
+    ``gamma = sqrt(-236)`` unambiguously, whatever method inverts it.
     """
     consts = eigen_constants()
     lam, nu = consts.lam, consts.nu
@@ -279,7 +227,7 @@ def _diagonalization(which: str):
         base = AM
     else:
         raise ValueError(f"unknown matrix name {which!r} (expected MA, M or AM)")
-    return base, p, eigs, _adjugate_inverse(p)
+    return base, p, eigs, np.linalg.inv(p)
 
 
 def diagonalization_residual(which: str, j: int) -> float:
@@ -436,6 +384,6 @@ def letter_domination_report(samples: int = 1000, seed: int = 0) -> LetterDomina
         np.linalg.norm(v @ MB.T, axis=1) > np.linalg.norm(v @ MA.T, axis=1) + 1e-12
     ))
     diff = (MA @ MA.T - MB @ MB.T).astype(np.float64)
-    psd = _sym3_largest_eig(-diff) <= 1e-12
+    psd = bool(np.linalg.eigvalsh(diff)[0] >= -1e-12)
     # MB e2 = (1, -1, 0) has norm sqrt(2) while MA e2 = (0, 0, 1) has norm 1
     return LetterDominationReport(samples, row_bad, col_bad, psd, (0.0, 1.0, 0.0))

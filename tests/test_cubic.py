@@ -74,3 +74,15 @@ def test_solve_cubic_against_numpy_roots():
             assert abs(z - w) < 1e-6 * max(1.0, abs(w)), (b, c, d)
         for z in ours:
             assert abs(((z + b) * z + c) * z + d) < 1e-8 * max(1.0, abs(z)) ** 3
+
+
+def test_char_roots_against_numpy_poly():
+    from rscorr.cubic import char_roots
+    rng = np.random.default_rng(9)
+    for _ in range(100):
+        a = rng.integers(-6, 7, size=(3, 3))
+        ours = np.sort_complex(np.array(char_roots(a)))
+        ref = np.sort_complex(np.roots(np.poly(a.astype(float))))
+        assert np.allclose(ours, ref, rtol=1e-6, atol=1e-6), a
+    with pytest.raises(ValueError):
+        char_roots(np.eye(2))

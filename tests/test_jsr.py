@@ -164,3 +164,47 @@ def test_bracket_takes_custom_pair():
     assert br.lower == pytest.approx(2.0, abs=1e-12)
     assert br.upper == pytest.approx(2.0, abs=1e-12)
     assert br.witness == ("X",)
+
+
+def _exact_charpoly_radius(mat) -> float:
+    """Largest root modulus of the characteristic polynomial, with its
+    integer coefficients from Newton's identities on traces of powers."""
+    a = np.array(np.asarray(mat).tolist(), dtype=object)
+    a2 = a @ a
+    p1, p2, p3 = (int(np.trace(x)) for x in (a, a2, a2 @ a))
+    e2, rem2 = divmod(p1 * p1 - p2, 2)
+    e3, rem3 = divmod(p1**3 - 3 * p1 * p2 + 2 * p3, 6)
+    assert rem2 == rem3 == 0
+    return float(np.max(np.abs(np.roots([1.0, -float(p1), float(e2), -float(e3)]))))
+
+
+#: Words (A = MA, B = MB) on which QR eigenvalues of the product miss the
+#: exact radius by more than 1e-12 relative: rho = 3, 1, 1 with norms
+#: about 721, 478 and 374.
+NON_NORMAL_WORDS = ("AAAAABABBABAABAA", "BABBABAAAAABAAA", "AAABAAAAABBBBAA")
+
+
+def _word(spelled: str) -> np.ndarray:
+    return ProductWord.make(tuple("M" + c for c in spelled)).matrix
+
+
+def test_spectral_radius_matches_exact_characteristic_polynomial():
+    rng = np.random.default_rng(11)
+    words = [_word(s) for s in NON_NORMAL_WORDS]
+    words += [_word("".join(rng.choice(["A", "B"], size=rng.integers(1, 25))))
+              for _ in range(300)]
+    for mat in words:
+        ref = _exact_charpoly_radius(mat)
+        assert spectral_radius(mat) == pytest.approx(ref, rel=1e-12, abs=1e-12), mat.tolist()
+
+
+def test_product_word_is_frozen_and_read_only():
+    w = ProductWord.make(["MB", "MA"], {"MA": MA, "MB": MB})
+    assert w.letters == ("MB", "MA")
+    assert np.array_equal(w.matrix, MB @ MA)
+    with pytest.raises(ValueError):
+        w.matrix[0, 0] = 7
+    with pytest.raises(AttributeError):
+        w.letters = ("MA",)
+    with pytest.raises(ValueError, match="letter 'MC' not in alphabet"):
+        ProductWord.make(("MA", "MC"))

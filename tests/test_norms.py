@@ -21,6 +21,8 @@ from rscorr.norms import (
     verify_power_bounds,
 )
 from rscorr.autocorr import aperiodic_table_fast
+from rscorr.cubic import char_roots
+from rscorr.jsr import ProductWord
 from rscorr.recurrence import MA, MB, PROJ, STEP, SWAP, nearest_third
 
 
@@ -196,3 +198,16 @@ def test_conjugation_invariance():
 
 def test_am_constant():
     assert AM.tolist() == (SWAP @ STEP).tolist()
+
+
+def test_spectral_norm_squared_is_largest_gram_root():
+    # independent of LAPACK: ||W||^2 is the largest root of the exact
+    # characteristic cubic of the integer Gram matrix W^T W
+    rng = np.random.default_rng(17)
+    words = [("MA", "MA", "MA", "MA", "MA", "MB", "MA", "MB", "MB", "MA", "MB", "MA", "MA",
+              "MB", "MA", "MA")]
+    words += [tuple(rng.choice(["MA", "MB"], size=rng.integers(1, 17))) for _ in range(300)]
+    for letters in words:
+        w = ProductWord.make(letters).matrix
+        gram_top = max(z.real for z in char_roots(w.T @ w))
+        assert spectral_norm(w) ** 2 == pytest.approx(gram_top, rel=1e-12, abs=1e-12), letters
