@@ -44,7 +44,9 @@ print("reconstruction matches; JSON form:", nf.to_dict())
 
 # The shift nearest 2/3 of the doubled length stays in the third quarter
 # at every level, so its word is a pure MA power; that drives the lower
-# growth bound for the maximal autocorrelation.
+# growth bound for the maximal autocorrelation.  In digits: its binary
+# digits alternate (1010...1), and a letter is MA exactly where two
+# neighbouring digits differ.
 for m in (5, 8, 12):
     ell = nearest_third(m)
     labels = set(shift_chain(ell, m).labels())

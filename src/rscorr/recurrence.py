@@ -12,15 +12,21 @@ applied to a seed vector; regrouping the factors yields a normal form
 ``SWAP^delta * (word of MA/MB letters) * seed`` whose word length is
 always ``m - 2``.
 
-Everything here is exact 64-bit integer arithmetic; entries of the
-products grow slower than ``2^m``, so overflow is impossible at the
-supported orders.
+The chain is read from the binary digits ``b_i`` of ``k``: reflecting an
+odd shift ``s -> 2^L - s`` flips its digits ``1..L-1``, so the reflections
+above level ``L`` have parity ``b_L``.  The shift at level ``L`` is thus
+``k mod 2^L``, or ``2^L`` minus that when ``b_L`` is set; its quarter index
+(0..3 for S1..S4) is ``2 (b_(L-1) ^ b_L) + (b_(L-2) ^ b_L)``; the seed is
+swapped when ``b_2 != b_1``; ``delta = b_(m-1)``; and the letter of level
+``L`` is ``MB`` when ``b_(L-1) = b_(L-2)``, else ``MA``.
+
+Everything here is exact 64-bit integer arithmetic; the chain routes refuse
+orders above :data:`MAX_CHAIN_ORDER`, past which ``2^m`` leaves int64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -58,6 +64,19 @@ SEED = np.array([1, -1, 1], dtype=np.int64)
 
 for _mat in (STEP, SWAP, PROJ, REVERSAL, MA, MB, SEED, *QUARTER_FACTORS.values()):
     _mat.setflags(write=False)
+
+#: ``QUARTER_FACTORS`` stacked in quarter order S1..S4, the letters stacked
+#: as (MA, MB), indexed by the projection bit, and the seeds stacked as
+#: (SEED, SWAP @ SEED), indexed by the seed swap.
+_FACTOR_STACK = np.stack([QUARTER_FACTORS[f"S{i}"] for i in range(1, 5)])
+_LETTER_STACK = np.stack([MA, MB])
+_SEED_STACK = np.stack([SEED, SWAP @ SEED])
+
+#: Quarter label -> (swap exponent, projection exponent) in SWAP^a STEP PROJ^b.
+_EXPONENTS = {"S1": (0, 1), "S2": (0, 0), "S3": (1, 0), "S4": (1, 1)}
+
+#: Largest order of the chain routes: shifts and ``2^m`` stay int64.
+MAX_CHAIN_ORDER = 62
 
 
 class NormalFormError(RuntimeError):
@@ -103,15 +122,50 @@ class ShiftChain:
         }
 
 
+def _chain(m: int, k):
+    """``(quarters, seed_swap)`` of the odd shift ``k`` at order ``m``, from its
+    digits: ``quarters[i]`` is the quarter index at level ``m - i``.  ``k`` is
+    one Python int or an int64 array of shifts (one column per shift)."""
+    if m > MAX_CHAIN_ORDER:
+        raise ValueError(f"order {m} exceeds the chain cap {MAX_CHAIN_ORDER}")
+    quarters = np.empty((m - 2, *np.shape(k)), dtype=np.intp)
+    for row, level in enumerate(range(m, 2, -1)):
+        # digits level-1 and level-2, both flipped when digit ``level`` is set
+        quarters[row] = ((k >> (level - 2)) & 3) ^ (3 * ((k >> level) & 1))
+    return quarters, ((k >> 1) ^ (k >> 2)) & 1
+
+
+def _letters(quarters: np.ndarray, seed_swap):
+    """``(delta, proj)`` of a chain: the leading swap bit, and the projection
+    bit of each level's letter (``MB`` where set, ``MA`` where clear).
+
+    Flattening the factor chain gives ``... STEP PROJ^b_i SWAP^a_{i-1} STEP ...``;
+    between consecutive STEPs exactly one of the two bits is set, so each STEP
+    absorbs one letter to its right.  Raises :class:`NormalFormError` at the
+    first shift, and its first level, where that fails.
+    """
+    swap_bits, proj_bits = np.array([_EXPONENTS[f"S{i}"] for i in range(1, 5)], dtype=np.intp).T
+    proj = proj_bits[quarters]
+    swap_next = np.concatenate([swap_bits[quarters[1:]], [seed_swap]])
+    bad = proj == swap_next
+    if bad.any():
+        # transposed, the first hit is the smallest shift's first bad level
+        at = tuple(np.argwhere(bad.T)[0][::-1])
+        raise NormalFormError(
+            f"factor STEP PROJ^{proj[at]} SWAP^{swap_next[at]} is not a single letter"
+        )
+    return swap_bits[quarters[0]], proj
+
+
 def shift_chain(k: int, m: int) -> ShiftChain:
-    """Iterate ``k -> k`` (quarters 1-2) or ``k -> 2^level - k`` (quarters 3-4)."""
+    """Shift and quarter of the odd shift ``k`` at levels ``m..3``: ``k mod 2^L``,
+    reflected to ``2^L - (k mod 2^L)`` when digit ``L`` of ``k`` is set."""
+    interval_label(k, m)
     steps = []
-    shift = k
-    for level in range(m, 2, -1):
-        label = interval_label(shift, level)
-        steps.append(ChainStep(level, shift, label))
-        if label in ("S3", "S4"):
-            shift = (1 << level) - shift
+    for level, q in zip(range(m, 2, -1), _chain(m, k)[0].tolist()):
+        low = k & ((1 << level) - 1)
+        shift = (1 << level) - low if (k >> level) & 1 else low
+        steps.append(ChainStep(level, shift, f"S{q + 1}"))
     return ShiftChain(m, tuple(steps))
 
 
@@ -138,46 +192,14 @@ def v_direct(m: int, k: int, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
     )
 
 
-def _seed_for(chain: ShiftChain) -> np.ndarray:
-    return SWAP @ SEED if chain.steps[-1].label in ("S2", "S3") else SEED.copy()
-
-
 def v_product(m: int, k: int) -> np.ndarray:
     """Rebuild ``v_m(k)`` by applying the factor chain to the seed vector."""
-    chain = shift_chain(k, m)
-    v = _seed_for(chain)
-    for step in reversed(chain.steps):
-        v = QUARTER_FACTORS[step.label] @ v
+    interval_label(k, m)
+    quarters, seed_swap = _chain(m, k)
+    v = _SEED_STACK[seed_swap]
+    for q in quarters[::-1].tolist():
+        v = _FACTOR_STACK[q] @ v
     return v
-
-
-#: Quarter label -> (swap exponent, projection exponent) in SWAP^a STEP PROJ^b.
-_EXPONENTS = {"S1": (0, 1), "S2": (0, 0), "S3": (1, 0), "S4": (1, 1)}
-
-
-def _regroup(labels: Iterable[str], seed_swap: int) -> tuple[int, tuple[str, ...]]:
-    """Turn a top-down label sequence plus seed swap into (delta, letters).
-
-    Flattening the factor chain gives ``... STEP PROJ^b_i SWAP^a_{i-1} STEP ...``;
-    between consecutive STEPs exactly one of the projection/swap bits is set,
-    so each STEP absorbs one letter to its right.  The leading swap bit pops
-    out as ``delta``.
-    """
-    seq = list(labels)
-    bits = [_EXPONENTS[lab] for lab in seq]
-    delta = bits[0][0]
-    rights = [a for a, _ in bits[1:]] + [seed_swap]
-    letters = []
-    for (_, b), a_next in zip(bits, rights):
-        if (b, a_next) == (1, 0):
-            letters.append("MB")
-        elif (b, a_next) == (0, 1):
-            letters.append("MA")
-        else:
-            raise NormalFormError(
-                f"factor STEP PROJ^{b} SWAP^{a_next} is not a single letter"
-            )
-    return delta, tuple(letters)
 
 
 @dataclass(frozen=True)
@@ -209,13 +231,9 @@ def normal_form(m: int, k: int) -> NormalForm:
     The word always has exactly ``m - 2`` letters and reconstructs
     ``v_m(k)`` exactly.
     """
-    chain = shift_chain(k, m)
-    seed_swap = 1 if chain.steps[-1].label in ("S2", "S3") else 0
-    delta, letters = _regroup(chain.labels(), seed_swap)
-    form = NormalForm(m, k, delta, letters)
-    if len(letters) != m - 2:
-        raise NormalFormError(f"expected {m - 2} letters, got {len(letters)}")
-    return form
+    interval_label(k, m)
+    delta, proj = _letters(*_chain(m, k))
+    return NormalForm(m, k, int(delta), tuple("MB" if b else "MA" for b in proj.tolist()))
 
 
 def nearest_third(m: int) -> int:
@@ -285,57 +303,33 @@ class DecompositionReport:
         }
 
 
-#: ``QUARTER_FACTORS`` stacked in quarter order S1..S4, and the letters
-#: stacked as (MA, MB), indexed by the projection bit.
-_FACTOR_STACK = np.stack([QUARTER_FACTORS[f"S{i}"] for i in range(1, 5)])
-_LETTER_STACK = np.stack([MA, MB])
+def _fold(stack: np.ndarray, rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Column-wise ``stack[rows[0]] @ stack[rows[1]] @ ... @ vecs`` for a
+    ``(levels, n)`` index array and ``n`` 3-vectors."""
+    for row in rows[::-1]:
+        vecs = np.einsum("nij,nj->ni", stack[row], vecs)
+    return vecs
 
 
-def _apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Row-wise ``mats[i] @ vecs[i]`` for stacks of 3x3 matrices and 3-vectors."""
-    return np.einsum("nij,nj->ni", mats, vecs)
+def _routes(m: int, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(product, reconstruction)`` for an int64 array of odd shifts of order ``m``.
+
+    The batched forms of :func:`v_product` and ``normal_form(m, k).reconstruct()``:
+    row ``i`` of each ``(shifts.size, 3)`` array belongs to ``shifts[i]``.
+    Raises :class:`NormalFormError` as :func:`normal_form` would, for the
+    first shift whose chain has a non-letter pair.
+    """
+    quarters, seed_swap = _chain(m, shifts)
+    delta, proj = _letters(quarters, seed_swap)
+    prod = _fold(_FACTOR_STACK, quarters, _SEED_STACK[seed_swap])
+    recon = _fold(_LETTER_STACK, proj, np.broadcast_to(SEED, (shifts.size, 3)))
+    return prod, np.where(delta[:, None] == 1, recon[:, [1, 0, 2]], recon)
 
 
 def _level_routes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(shifts, product, reconstruction)`` for every odd shift of order ``m``.
-
-    The batched forms of :func:`v_product` and ``normal_form(m, k).reconstruct()``:
-    row ``i`` of each ``(2^(m-1), 3)`` array belongs to ``shifts[i]``.
-    Raises :class:`NormalFormError` as :func:`_regroup` would, for the
-    smallest shift whose chain has a non-letter pair.
-    """
+    """``(shifts, product, reconstruction)`` for every odd shift of order ``m``."""
     shifts = np.arange(1, 1 << m, 2, dtype=np.int64)
-    # quarters[i, j]: quarter index (0..3) of shift j at level m - i
-    quarters = np.empty((m - 2, shifts.size), dtype=np.intp)
-    shift = shifts.copy()
-    for i, level in enumerate(range(m, 2, -1)):
-        quarters[i] = shift >> (level - 2)
-        shift = np.where(quarters[i] >= 2, (1 << level) - shift, shift)
-    seed_swap = (quarters[-1] == 1) | (quarters[-1] == 2)  # S2 or S3 at level 3
-
-    prod = np.where(seed_swap[:, None], SWAP @ SEED, SEED)
-    for q in quarters[::-1]:
-        prod = _apply(_FACTOR_STACK[q], prod)
-
-    # Between consecutive STEPs sit PROJ^b (this level) and SWAP^a (next level
-    # down, or the seed swap): (1, 0) is MB, (0, 1) is MA, anything else is
-    # not a letter.
-    swap_bits, proj_bits = np.array([_EXPONENTS[f"S{i}"] for i in range(1, 5)]).T
-    proj = proj_bits[quarters]
-    swap_next = np.vstack([swap_bits[quarters[1:]], seed_swap[None, :]])
-    bad = proj == swap_next
-    if bad.any():
-        col = int(np.argmax(bad.any(axis=0)))
-        row = int(np.argmax(bad[:, col]))
-        raise NormalFormError(
-            f"factor STEP PROJ^{proj[row, col]} SWAP^{swap_next[row, col]} is not a single letter"
-        )
-    recon = np.broadcast_to(SEED, (shifts.size, 3))
-    for row in proj[::-1]:  # the letter is MB where the projection bit is set
-        recon = _apply(_LETTER_STACK[row], recon)
-    delta = swap_bits[quarters[0]].astype(bool)
-    recon[delta] = recon[delta][:, [1, 0, 2]]
-    return shifts, prod, recon
+    return (shifts, *_routes(m, shifts))
 
 
 def verify_decomposition(m_max: int, max_order: int = DEFAULT_MAX_ORDER) -> DecompositionReport:
@@ -343,9 +337,10 @@ def verify_decomposition(m_max: int, max_order: int = DEFAULT_MAX_ORDER) -> Deco
     compact table levels for every odd shift, orders 3..m_max.
 
     Both routes run batched over all odd shifts of one level
-    (:func:`_level_routes`); the scalar :func:`v_product` and
-    :func:`normal_form` are pinned to the batched vectors at every shift by
-    the tests.
+    (:func:`_level_routes`) and read the quarters from one digit rule, so
+    the table is the route independent of that rule.  The scalar
+    :func:`v_product` and :func:`normal_form` read the same rule; the tests
+    pin them to the batched vectors at every shift.
     """
     check_order(m_max, max_order)
     failures = []

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from rscorr import autocorr, recurrence
 from rscorr.autocorr import aperiodic_table_fast
 from rscorr.recurrence import (
+    MAX_CHAIN_ORDER,
     MA,
     MB,
     PROJ,
@@ -13,8 +15,10 @@ from rscorr.recurrence import (
     STEP,
     SWAP,
     NormalFormError,
+    _chain,
+    _letters,
     _level_routes,
-    _regroup,
+    _routes,
     check_floor_ceil_identities,
     interval_label,
     nearest_third,
@@ -128,9 +132,9 @@ def test_normal_form_reconstruction():
 
 def test_regroup_rejects_impossible_factor():
     with pytest.raises(NormalFormError):
-        _regroup(["S1", "S3"], 0)  # projection followed by swap
+        _letters(np.array([0, 2]), 0)  # S1 then S3: projection followed by swap
     with pytest.raises(NormalFormError):
-        _regroup(["S2"], 0)  # bare step absorbs nothing
+        _letters(np.array([1]), 0)  # a bare S2 step absorbs nothing
 
 
 def test_seed_vector():
@@ -243,3 +247,105 @@ def test_verify_decomposition_reports_each_route(monkeypatch):
     assert [(f[0], f[1]) for f in rep.failures] == expected
     for m, k, direct, prod, recon in rep.failures:
         assert direct == recon == normal_form(m, k).reconstruct().tolist() != prod
+
+
+def _sequential_chain(m, k):
+    """Reference chain in Python ints: the quarter is the top two digits of
+    the shift at each level, and quarters 3-4 reflect it, ``s -> 2^level - s``.
+    Returns the ``(level, shift, label)`` steps and ``v_m(k)``."""
+    factors = {f"S{q}": t_factor(f"S{q}").tolist() for q in range(1, 5)}
+    steps = []
+    shift = k
+    for level in range(m, 2, -1):
+        q = shift >> (level - 2)
+        steps.append((level, shift, f"S{q + 1}"))
+        if q >= 2:
+            shift = (1 << level) - shift
+    v = [-1, 1, 1] if steps[-1][2] in ("S2", "S3") else [1, -1, 1]
+    for _, _, label in reversed(steps):
+        v = [sum(a * b for a, b in zip(row, v)) for row in factors[label]]
+    return steps, v
+
+
+def test_chain_order_cap():
+    # at the cap every route equals the Python-int product of the sequential
+    # chain; past it each refuses, where int64 would wrap silently
+    m = MAX_CHAIN_ORDER
+    assert m == 62
+    rng = np.random.default_rng(62)
+    shifts = np.array(
+        [nearest_third(m), *(2 * rng.integers(0, 1 << (m - 1), 100) + 1)], dtype=np.int64
+    )
+    prod, recon = _routes(m, shifts)
+    for i, k in enumerate(shifts.tolist()):
+        steps, v = _sequential_chain(m, k)
+        assert [(s.level, s.shift, s.label) for s in shift_chain(k, m).steps] == steps
+        assert v_product(m, k).tolist() == v, k
+        assert normal_form(m, k).reconstruct().tolist() == v, k
+        assert prod[i].tolist() == recon[i].tolist() == v, k
+    k = nearest_third(m + 1)
+    for route in (lambda: shift_chain(k, m + 1), lambda: v_product(m + 1, k),
+                  lambda: normal_form(m + 1, k), lambda: _routes(m + 1, np.array([1, 3]))):
+        with pytest.raises(ValueError, match="chain cap"):
+            route()
+
+
+def test_odd_shifts_map_one_to_one_onto_normal_forms():
+    for m in range(3, 17):
+        shifts = np.arange(1, 1 << m, 2, dtype=np.int64)
+        delta, proj = _letters(*_chain(m, shifts))
+        # (delta, word) as one integer: delta on top, the letter of level
+        # m - i at bit i (1 for MB)
+        codes = delta << (m - 2)
+        for i, row in enumerate(proj):
+            codes = codes | (row << i)
+        assert np.array_equal(np.sort(codes), np.arange(1 << (m - 1))), m
+        # inverse digit map: b_(m-1) = delta, b_(L-2) = b_(L-1) exactly where
+        # letter L is MB, and b_0 = 1
+        digit = delta.astype(np.int64)
+        k = (digit << (m - 1)) | 1
+        for i, row in enumerate(proj):
+            digit = digit ^ (1 - row)
+            k = k | (digit << (m - 2 - i))
+        assert np.array_equal(k, shifts), m
+
+
+def test_max_autocorrelation_is_max_over_words():
+    # max over odd k of |C_m(k)| = max over words W of m-2 letters of the
+    # first two components of W @ SEED: the fact a word search rests on
+    letters = np.stack([MA, MB])
+    for m, odd in enumerate(autocorr._odd_levels(16)):
+        if m < 3:
+            continue
+        words = np.arange(1 << (m - 2))
+        vecs = np.broadcast_to(SEED, (words.size, 3))
+        for i in range(m - 2):
+            vecs = np.einsum("nij,nj->ni", letters[(words >> i) & 1], vecs)
+        assert np.abs(odd).max() == np.abs(vecs[:, :2]).max(), m
+
+
+def test_routes_on_random_shifts():
+    rng = np.random.default_rng(40)
+    shifts = 2 * rng.integers(0, 1 << 39, 100_000) + 1
+    start = time.perf_counter()
+    prod, recon = _routes(40, shifts)
+    assert time.perf_counter() - start < 1.0
+    for i in rng.choice(shifts.size, 500, replace=False):
+        k = int(shifts[i])
+        assert np.array_equal(prod[i], v_product(40, k)), k
+        assert np.array_equal(recon[i], normal_form(40, k).reconstruct()), k
+
+    m = 24
+    n = 1 << m
+    prev = top = None
+    for odd in autocorr._odd_levels(m):
+        prev, top = top, odd
+    shifts = 2 * rng.integers(0, n >> 1, 100_000) + 1
+    k_prev = np.where(shifts <= n >> 1, shifts, n - shifts)
+    direct = np.column_stack(
+        [autocorr._odd_values(top, shifts), autocorr._odd_values(top, n - shifts),
+         autocorr._odd_values(prev, k_prev)]
+    )
+    prod, recon = _routes(m, shifts)
+    assert np.array_equal(prod, direct)
+    assert np.array_equal(recon, direct)
