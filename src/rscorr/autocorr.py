@@ -28,13 +28,19 @@ a public function returns one, and the reductions in :mod:`rscorr.stats`
 and :mod:`rscorr.norms`, and :func:`rscorr.recurrence.v_direct`, read the
 compact levels through the helpers here.
 
+The compact levels are int32 up to order 30 (:func:`_level_dtype`): every
+value obeys ``|C_m(k)| <= 2^m - k``, and every intermediate of a step stays
+within ``2^m``.  Full tables are int64, and every reduction returns Python
+ints.
+
 Each builder estimates the bytes alive at its peak, in units of ``2^m``
-bytes at order ``m`` (the compact levels ``m-2``, ``m-1`` and ``m`` take
-1, 2 and 4 units, a full table 8): 7 for the bare ladder, 11 for
-:func:`aperiodic_table_fast`, 9 for :func:`periodic_table`, 18 for
-:func:`iter_aperiodic_tables` and 31 for :func:`iter_table_pairs`.  It
-compares that estimate with the memory the machine has available before
-it allocates, and raises :class:`OrderTooLargeError` if it does not fit.
+bytes at order ``m`` (the int32 compact levels ``m-2``, ``m-1`` and ``m``
+take 1/2, 1 and 2 units, a full table 8): 3.5 for the bare ladder, 9.5 for
+:func:`aperiodic_table_fast`, 8.5 for :func:`periodic_table`, 15 for
+:func:`iter_aperiodic_tables` and 27.5 for :func:`iter_table_pairs`.  Levels
+above order 30 are int64 and count twice.  The builder compares that
+estimate with the memory the machine has available before it allocates,
+and raises :class:`OrderTooLargeError` if it does not fit.
 """
 
 from __future__ import annotations
@@ -48,7 +54,8 @@ import numpy as np
 from .sequences import (
     DEFAULT_MAX_ORDER,
     BinarySeq,
-    OrderTooLargeError,
+    _check_memory,
+    _mem_available,
     check_order,
     rs_sequence,
 )
@@ -79,24 +86,90 @@ def periodic_naive(s: ArrayLike, k: int) -> int:
 _CSV_CHUNK = 1 << 16
 #: Values per chunk in :func:`_sum_squares` (512 KiB of int64).
 _SUM_CHUNK = 1 << 16
+#: ``10^j`` for every digit of a uint64.
+_POW10 = [10**j for j in range(20)]
 
 
 def _csv_rows(values: np.ndarray, first: int = 0, absolute: bool = False) -> Iterator[str]:
     """``k,value`` lines for ``values[i]`` at ``k = first + i`` (``|value|``
     when ``absolute``), as one string per chunk of :data:`_CSV_CHUNK` rows.
 
-    Each chunk interleaves ``k`` and the value in one int64 array and
-    formats it with a single ``%`` operation.
+    The bytes of a chunk's rows are written into one uint8 buffer at the
+    ``cumsum`` of their lengths; see :func:`_encode_rows`.
     """
     for start in range(0, values.size, _CSV_CHUNK):
-        chunk = values[start : start + _CSV_CHUNK]
-        rows = np.empty((chunk.size, 2), dtype=np.int64)
-        rows[:, 0] = np.arange(first + start, first + start + chunk.size)
-        if absolute:
-            np.abs(chunk, out=rows[:, 1])
-        else:
-            rows[:, 1] = chunk
-        yield "%d,%d\n" * chunk.size % tuple(rows.ravel().tolist())
+        yield _encode_rows(values[start : start + _CSV_CHUNK], first + start, absolute)
+
+
+def _encode_rows(chunk: np.ndarray, k0: int, absolute: bool) -> str:
+    """The ``k,value`` lines of a nonempty integer ``chunk`` at ``k = k0, k0+1, ...``.
+
+    A row is the digits of ``k``, a comma, ``-`` if negative, the digits of
+    the value and a newline.  Its length comes from the digit counts: the
+    shifts are consecutive, so the rows with at least ``j + 1`` digits of
+    ``k`` are the suffix from ``10^j - k0`` on, and a value has
+    ``1 + #{j >= 1 : |v| >= 10^j}`` digits.  The digits come from unsigned
+    ``//`` and ``-``, in uint32 (the faster type) wherever every ``k`` and
+    ``|v|`` fits, as in every table up to order 31.
+
+    Value digit ``j`` (``j = 0`` for the units) goes ``j`` places before the
+    last, clamped to the place of the first digit.  Going from the chunk's
+    top digit down, every leading zero lands on that place, and the true
+    first digit then overwrites it.  The ``-`` is written on every row just
+    before the first digit, and the comma just before the ``-`` of negative
+    rows, so a ``-`` survives only on them.  Every byte is stored as its
+    offset from ``"0"`` and shifted once at the end.
+    """
+    n = chunk.size
+    mag = np.abs(chunk, dtype=np.int64).view(np.uint64)  # also right for -2^63
+    peak = int(mag.max())
+    udt = np.uint32 if max(peak, k0 + n) < 1 << 32 else np.uint64
+    mag = mag.astype(udt, copy=False)
+    top = len(str(peak))
+    flag = np.empty(n, dtype=bool)
+    digits = np.ones(n, dtype=np.intp)
+    for j in range(1, top):
+        np.greater_equal(mag, _POW10[j], out=flag)
+        digits += flag
+    tail = digits + 2  # value digits, comma and newline
+    if not absolute:
+        np.less(chunk, 0, out=flag)
+        tail += flag
+    lengths = tail + len(str(k0))
+    for j in range(len(str(k0)), len(str(k0 + n - 1))):
+        lengths[_POW10[j] - k0 :] += 1
+    ends = np.cumsum(lengths)
+    buf = np.empty(int(ends[-1]), dtype=np.uint8)
+    zero = ord("0")
+    pos = ends - 1
+    buf[pos] = ord("\n") - zero & 255
+    first_digit = ends - 1 - digits
+    if not absolute:
+        np.subtract(first_digit, 1, out=pos)
+        buf[pos] = ord("-") - zero & 255
+    comma = ends - tail
+    buf[comma] = ord(",") - zero & 255
+    quot, above = np.empty(n, dtype=udt), np.zeros(n, dtype=udt)
+    digit = np.empty(n, dtype=np.uint8)
+    for j in range(top - 1, -1, -1):
+        np.floor_divide(mag, _POW10[j], out=quot)
+        above *= 10
+        np.subtract(quot, above, out=digit, casting="unsafe")
+        np.subtract(ends, j + 2, out=pos)
+        np.maximum(pos, first_digit, out=pos)
+        buf[pos] = digit
+        quot, above = above, quot
+    # k's digits from the units up, each on the rows long enough to have it
+    k, rest = np.arange(k0, k0 + n, dtype=udt), np.empty(n, dtype=udt)
+    for j in range(len(str(k0 + n - 1))):
+        s = max(0, _POW10[j] - k0) if j else 0
+        np.floor_divide(k[s:], 10, out=rest[s:])
+        np.subtract(k[s:], rest[s:] * 10, out=digit[s:], casting="unsafe")
+        np.subtract(comma[s:], j + 1, out=pos[s:])
+        buf[pos[s:]] = digit[s:]
+        k, rest = rest, k
+    buf += zero
+    return str(buf.data, "ascii")
 
 
 @dataclass(frozen=True)
@@ -222,41 +295,48 @@ _ODD_SEEDS = ((), (1,), (1, -1))
 _PERIODIC_SEEDS = ([1], [2, 2])
 
 #: Bytes alive at each builder's peak, in units of ``2^m`` bytes at order
-#: ``m``.  The compact levels ``m-2``, ``m-1`` and ``m`` take 1, 2 and 4
-#: units, a full table 8.  A ``for`` loop still holds the item a generator
-#: yielded last while the generator builds the next one, so the two
-#: generators count that item too.
+#: ``m``.  The int32 compact levels ``m-2``, ``m-1`` and ``m`` take 1/2, 1
+#: and 2 units, a full table 8.  A ``for`` loop still holds the item a
+#: generator yielded last while the generator builds the next one, so the
+#: two generators count that item too.
 _PEAK_UNITS = {
-    "the aperiodic ladder": 7,  # levels m-2, m-1, m
-    "the aperiodic table": 11,  # levels m-2, m-1, table m
-    "the aperiodic tables": 18,  # levels m-1, m, table m, the caller's table m-1
-    "the periodic table": 9,  # level m-2, table m
-    "the table pairs": 31,  # levels m-2, m-1, m, two tables m, the caller's pair m-1
+    "the aperiodic ladder": 7 / 2,  # levels m-2, m-1, m
+    "the aperiodic table": 19 / 2,  # levels m-2, m-1, table m
+    "the aperiodic tables": 15,  # levels m-1, m, table m, the caller's table m-1
+    "the periodic table": 17 / 2,  # level m-2, table m
+    "the table pairs": 55 / 2,  # levels m-2, m-1, m, two tables m, the caller's pair m-1
+}
+#: The units of each peak held in compact levels, counted again from order
+#: 31 on, where the levels are int64.  (At orders 31 and 32 the ladders of
+#: :func:`aperiodic_table_fast` and :func:`periodic_table`, which stop one
+#: and two orders lower, may still be int32: there it is an upper bound.)
+_LEVEL_UNITS = {
+    "the aperiodic ladder": 7 / 2,
+    "the aperiodic table": 3 / 2,
+    "the aperiodic tables": 3,
+    "the periodic table": 1 / 2,
+    "the table pairs": 7 / 2,
 }
 
 
-def _mem_available() -> int | None:
-    """Bytes the kernel reports as available, or None where it cannot tell."""
-    try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        return None
-    return None
-
-
-def _check_memory(builder: str, m: int) -> None:
+def _check_peak(builder: str, m: int) -> None:
     """Raise :class:`OrderTooLargeError` if ``builder`` at order ``m`` would
     not fit in the memory available now."""
-    nbytes = _PEAK_UNITS[builder] << m
-    available = _mem_available()
-    if available is not None and nbytes > available:
-        raise OrderTooLargeError(
-            f"{builder} of order {m} needs about {nbytes} bytes ({nbytes / 2**30:.2f} GiB), "
-            f"but only {available} bytes ({available / 2**30:.2f} GiB) are available"
-        )
+    units = _PEAK_UNITS[builder]
+    if _level_dtype(m) == np.int64:
+        units += _LEVEL_UNITS[builder]
+    _check_memory(builder, m, int(units * (1 << m)), _mem_available)
+
+
+def _level_dtype(m_max: int) -> type:
+    """int32 for a ladder up to order ``m_max`` while ``2^m_max`` fits in it,
+    else int64.
+
+    Every value of level ``m`` obeys ``|C_m(k)| <= 2^m - k``, and each
+    intermediate of :func:`_next_odd` (``2 C_{m-2}``, then the sum) stays
+    within ``2^m``.
+    """
+    return np.int32 if 1 << m_max <= np.iinfo(np.int32).max else np.int64
 
 
 def _next_odd(
@@ -272,12 +352,13 @@ def _next_odd(
         Q3 = 2 b - a[:e]           Q4 = -a[e:]
 
     each written in place with no temporary, into ``out`` (``4e`` entries,
-    any stride) when given, else into a new array.
+    any stride, int64 or the levels' own type) when given, else into a new
+    array of the levels' type.
     """
     e = two_back.size
     a_low, a_high = one_back[:e], one_back[e:]
     if out is None:
-        out = np.empty(4 * e, dtype=np.int64)
+        out = np.empty(4 * e, dtype=one_back.dtype)
     out[:e] = a_high[::-1]
     quarter = out[e : 2 * e]
     np.multiply(two_back[::-1], 2, out=quarter)
@@ -297,19 +378,22 @@ def _odd_levels(
     Level ``m`` holds ``C_m(2j + 1)`` at index ``j < 2^(m-1)``; every even
     shift ``k >= 2`` vanishes, so it holds every nonzero value for
     ``0 < k < 2^m``.  Each value is a sum of an odd number of +/-1 terms,
-    hence odd and never zero.  Levels ``m-2``, ``m-1`` and ``m`` are alive
-    while level ``m`` is built (``7 * 2^m`` bytes), only the last two when
-    it is yielded.  Before the first level the order cap is checked,
-    and the memory that ``builder`` needs at order ``m_max`` unless it is
-    None (a caller whose peak is at another order checks its own).
+    hence odd and never zero.  Every level has the type
+    :func:`_level_dtype` gives for ``m_max``.  Levels ``m-2``, ``m-1`` and
+    ``m`` are alive while level ``m`` is built (``3.5 * 2^m`` bytes in
+    int32), only the last two when it is yielded.  Before the first level
+    the order cap is checked, and the memory that ``builder`` needs at
+    order ``m_max`` unless it is None (a caller whose peak is at another
+    order checks its own).
     """
     check_order(m_max, max_order)
     if builder is not None:
-        _check_memory(builder, m_max)
+        _check_peak(builder, m_max)
+    dtype = _level_dtype(m_max)
     one_back = two_back = None
     for m in range(m_max + 1):
         if m <= 2:
-            level = np.array(_ODD_SEEDS[m], dtype=np.int64)
+            level = np.array(_ODD_SEEDS[m], dtype=dtype)
         else:
             level = _next_odd(one_back, two_back)
         two_back, one_back = one_back, level
@@ -338,19 +422,21 @@ def _odd_values(odd: np.ndarray, shifts):
 
 
 def _sum_squares(v: np.ndarray) -> int:
-    """Exact ``sum(v**2)`` as a Python int.
+    """Exact ``sum(v**2)`` as a Python int, for an int32 level or an int64 table.
 
     The values are summed in chunks of :data:`_SUM_CHUNK`, small enough to
-    stay in cache across the chunk's three passes.  A chunk's int64 dot
-    product is exact while ``size * max|v|^2 < 2^63``; past that bound the
-    chunk is summed in Python ints.
+    stay in cache across the chunk's passes.  Each chunk is accumulated in
+    int64 (an int32 chunk is widened first, since ``np.dot`` sums in its
+    inputs' type), which is exact while ``size * max|v|^2 < 2^63``; past
+    that bound the chunk is summed in Python ints.
     """
     total = 0
     for start in range(0, v.size, _SUM_CHUNK):
         chunk = v[start : start + _SUM_CHUNK]
         peak = _abs_peak(chunk)
         if chunk.size * peak * peak < 1 << 63:
-            total += int(np.dot(chunk, chunk))
+            wide = chunk.astype(np.int64, copy=False)
+            total += int(np.dot(wide, wide))
         else:
             total += sum(x * x for x in chunk.tolist())
     return total
@@ -401,8 +487,9 @@ def _periodic_from(m: int, lower: np.ndarray | None) -> AutocorrTable:
     q, h = n >> 2, n >> 1
     out = np.zeros(n, dtype=np.int64)
     out[0] = n
-    np.multiply(lower[::-1], 4, out=out[q + 1 : h : 2])
-    np.multiply(lower, 4, out=out[h + 1 : 3 * q : 2])
+    # in int64: 4 C_{m-2} of an int32 level reaches 2^32 at order 32
+    np.multiply(lower[::-1], 4, out=out[q + 1 : h : 2], dtype=np.int64)
+    np.multiply(lower, 4, out=out[h + 1 : 3 * q : 2], dtype=np.int64)
     return AutocorrTable(m, "periodic", out)
 
 
@@ -412,7 +499,7 @@ def iter_aperiodic_tables(
     """Yield aperiodic tables for m = 0..m_max from one compact ladder.
 
     Each level is expanded to a full table as it is yielded.  At order
-    ``m`` about ``18 * 2^m`` bytes are alive: compact levels ``m-1`` and
+    ``m`` about ``15 * 2^m`` bytes are alive: compact levels ``m-1`` and
     ``m``, table ``m`` and the table ``m-1`` a ``for`` loop still holds.
     Raises :class:`OrderTooLargeError` before the first level if that
     would not fit in available memory at ``m_max``.
@@ -426,10 +513,10 @@ def aperiodic_table_fast(m: int, max_order: int = DEFAULT_MAX_ORDER) -> Autocorr
 
     The ladder runs on compact levels up to order ``m - 1``, and the last
     step writes order ``m`` straight into the table's odd shifts: about
-    ``11 * 2^m`` bytes at the peak.
+    ``9.5 * 2^m`` bytes at the peak.
     """
     check_order(m, max_order)
-    _check_memory("the aperiodic table", m)
+    _check_peak("the aperiodic table", m)
     if m <= 2:
         return _full_table(m, _ODD_SEEDS[m])
     one_back = None
@@ -444,13 +531,13 @@ def periodic_table(m: int, max_order: int = DEFAULT_MAX_ORDER) -> AutocorrTable:
     """Periodic table via the closed form on the four quarters.
 
     Orders 0 and 1 are literal; from order 2 on the table is derived from
-    the compact aperiodic level of order ``m - 2``: about ``9 * 2^m`` bytes
-    at the peak.
+    the compact aperiodic level of order ``m - 2``: about ``8.5 * 2^m``
+    bytes at the peak.
     """
     check_order(m, max_order)
     if m < 2:
         return _periodic_from(m, None)
-    _check_memory("the periodic table", m)
+    _check_peak("the periodic table", m)
     for lower in _odd_levels(m - 2, max_order, None):
         pass
     return _periodic_from(m, lower)
@@ -461,7 +548,7 @@ def iter_table_pairs(
 ) -> Iterator[tuple[AutocorrTable, AutocorrTable]]:
     """Yield ``(aperiodic, periodic)`` tables of orders 0..m_max from one ladder.
 
-    At order ``m`` about ``31 * 2^m`` bytes are alive: compact levels
+    At order ``m`` about ``27.5 * 2^m`` bytes are alive: compact levels
     ``m-2..m``, both tables of order ``m`` and the pair of order ``m-1`` a
     ``for`` loop still holds.
     """

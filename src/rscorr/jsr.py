@@ -19,7 +19,7 @@ import numpy as np
 from .cubic import char_roots
 from .hull3d import DegenerateInputError, Polytope3, convex_hull_3d
 from .norms import spectral_norm
-from .recurrence import MA, MB
+from .recurrence import MA, MB, check_word_length
 
 #: Default product alphabet.
 DEFAULT_ALPHABET = {"MA": MA, "MB": MB}
@@ -42,8 +42,11 @@ class ProductWord:
 
     @staticmethod
     def make(letters: Sequence[str], alphabet: Optional[dict] = None) -> "ProductWord":
+        """The word and its int64 product, for at most
+        :data:`~rscorr.recurrence.MAX_WORD_LENGTH` letters."""
         alpha = alphabet or DEFAULT_ALPHABET
         letters = tuple(letters)
+        check_word_length(len(letters))
         out = np.eye(3, dtype=np.int64)
         for letter in letters:
             if letter not in alpha:

@@ -21,7 +21,8 @@ swapped when ``b_2 != b_1``; ``delta = b_(m-1)``; and the letter of level
 ``L`` is ``MB`` when ``b_(L-1) = b_(L-2)``, else ``MA``.
 
 Everything here is exact 64-bit integer arithmetic; the chain routes refuse
-orders above :data:`MAX_CHAIN_ORDER`, past which ``2^m`` leaves int64.
+orders above :data:`MAX_CHAIN_ORDER`, past which ``2^m`` leaves int64, and
+word products refuse words longer than :data:`MAX_WORD_LENGTH`.
 """
 
 from __future__ import annotations
@@ -77,6 +78,19 @@ _EXPONENTS = {"S1": (0, 1), "S2": (0, 0), "S3": (1, 0), "S4": (1, 1)}
 
 #: Largest order of the chain routes: shifts and ``2^m`` stay int64.
 MAX_CHAIN_ORDER = 62
+#: Longest word whose int64 product is exact.  With ``D = diag(1, 1, 2)``,
+#: ``||D M D^-1||_inf`` is 2 for both letters and 1 for ``SWAP``, so every
+#: entry of a product of ``n`` letters (after ``SWAP^delta``, and times
+#: ``SEED``), and every partial sum in it, is at most ``2^(n+1)`` in
+#: magnitude.  It covers the ``m - 2`` letters of every normal form at
+#: orders up to :data:`MAX_CHAIN_ORDER`.
+MAX_WORD_LENGTH = 61
+
+
+def check_word_length(n: int) -> None:
+    """Refuse a word of ``n`` letters whose product could leave int64."""
+    if n > MAX_WORD_LENGTH:
+        raise ValueError(f"a word of {n} letters exceeds the cap {MAX_WORD_LENGTH}")
 
 
 class NormalFormError(RuntimeError):
@@ -213,6 +227,7 @@ class NormalForm:
 
     def matrix(self) -> np.ndarray:
         """Exact integer product ``SWAP^delta * letters``."""
+        check_word_length(len(self.letters))
         out = SWAP.copy() if self.delta else np.eye(3, dtype=np.int64)
         for letter in self.letters:
             out = out @ LETTER_MATRICES[letter]

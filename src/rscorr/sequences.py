@@ -17,13 +17,13 @@ import numpy as np
 
 #: Default cap on the order m.  This is a hard limit, not a promise that
 #: the order fits in memory: at m = 30 the sequence takes 1 GiB and one int64
-#: autocorrelation table 8 GiB.  Table builders check the memory the machine
-#: has left before they allocate (see :mod:`rscorr.autocorr`).
+#: autocorrelation table 8 GiB.  The sequence and table builders check the
+#: memory the machine has left before they allocate (:func:`_check_memory`).
 DEFAULT_MAX_ORDER = 30
 
 
 class OrderTooLargeError(ValueError):
-    """Requested order exceeds the configured cap."""
+    """Requested order exceeds the configured cap, or the memory available."""
 
 
 def check_order(m: int, max_order: int = DEFAULT_MAX_ORDER) -> None:
@@ -31,6 +31,39 @@ def check_order(m: int, max_order: int = DEFAULT_MAX_ORDER) -> None:
         raise ValueError(f"order must be non-negative, got {m}")
     if m > max_order:
         raise OrderTooLargeError(f"order {m} exceeds the cap {max_order}")
+
+
+def _mem_available() -> int | None:
+    """Bytes the kernel reports as available, or None where it cannot tell."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        return None
+    return None
+
+
+#: Builders that hold fewer bytes at their peak skip the memory check.
+#: Reading ``/proc/meminfo`` takes about 20 us, a large share of the small
+#: builds that the verification suites run by the hundred.
+_CHECK_FLOOR = 1 << 20
+
+
+def _check_memory(builder: str, m: int, nbytes: int, mem_available) -> None:
+    """Raise :class:`OrderTooLargeError` if ``builder`` at order ``m``, which
+    holds ``nbytes`` bytes at its peak, exceeds what ``mem_available()``
+    reports (None never blocks).  Below :data:`_CHECK_FLOOR` bytes nothing
+    is read."""
+    if nbytes < _CHECK_FLOOR:
+        return
+    available = mem_available()
+    if available is not None and nbytes > available:
+        raise OrderTooLargeError(
+            f"{builder} of order {m} needs about {nbytes} bytes ({nbytes / 2**30:.2f} GiB), "
+            f"but only {available} bytes ({available / 2**30:.2f} GiB) are available"
+        )
 
 
 @dataclass(frozen=True)
@@ -114,9 +147,12 @@ def generalized_sequence(
     values defined on ``0..m-1``.
 
     The family contains the Rudin-Shapiro sequences (see
-    :func:`rudin_shapiro_flips`) among its ``2**m`` sign choices.
+    :func:`rudin_shapiro_flips`) among its ``2**m`` sign choices.  The
+    terms are one int8 array of ``2^m`` bytes, checked against the memory
+    available before it is allocated.
     """
     check_order(m, max_order)
+    _check_memory("the sequence", m, 1 << m, _mem_available)
     f = flips if callable(flips) else flips.__getitem__
     terms = np.empty(1 << m, dtype=np.int8)
     terms[0] = 1

@@ -215,7 +215,7 @@ def test_ladder_estimate():
         "the periodic table": levels[-3] + pe,
         "the table pairs": sum(levels[-3:]) + ap + pe + ap_prev + pe_prev - 16,
     }
-    assert held == {builder: units << m for builder, units in autocorr._PEAK_UNITS.items()}
+    assert held == {builder: units * (1 << m) for builder, units in autocorr._PEAK_UNITS.items()}
 
 
 def test_csv_export():
@@ -253,7 +253,7 @@ def test_compact_levels_are_the_odd_shifts():
     for m, level in enumerate(autocorr._odd_levels(12)):
         n = 1 << m
         table = aperiodic_table_naive(m).values
-        assert level.dtype == np.int64 and level.size == n >> 1
+        assert level.dtype == np.int32 and level.size == n >> 1
         assert np.array_equal(level, table[1:n:2]), m
         assert np.all(level % 2 == 1)  # odd, hence never zero
 
@@ -329,3 +329,109 @@ def test_csv_bytes_match_fstring_rendering(m):
     # orders 16 and 17 cross the 65,536-row chunk boundary
     for table in (aperiodic_table_fast(m), periodic_table(m)):
         assert table.to_csv() == _csv_fstrings(table.values, "k,value\n"), (table.kind, m)
+
+
+def _csv_percent(values, first=0, absolute=False):
+    """The former ``_csv_rows``: one ``%`` operation per chunk, the reference
+    for the vectorised encoder."""
+    for start in range(0, values.size, autocorr._CSV_CHUNK):
+        chunk = values[start : start + autocorr._CSV_CHUNK]
+        rows = np.empty((chunk.size, 2), dtype=np.int64)
+        rows[:, 0] = np.arange(first + start, first + start + chunk.size)
+        if absolute:
+            np.abs(chunk, out=rows[:, 1])
+        else:
+            rows[:, 1] = chunk
+        yield "%d,%d\n" * chunk.size % tuple(rows.ravel().tolist())
+
+
+@pytest.mark.parametrize("m", range(18))
+def test_csv_chunks_match_percent_formatter(m):
+    # chunk by chunk: both kinds, and the plotdata rows (from k = 1, |value|)
+    ap, pe = aperiodic_table_fast(m).values, periodic_table(m).values
+    for args in ((ap,), (pe,), (ap[1 : 1 << m], 1, True)):
+        assert list(autocorr._csv_rows(*args)) == list(_csv_percent(*args)), (m, args[1:])
+
+
+def test_csv_encoder_edge_chunks(capsys):
+    rng = np.random.default_rng(5)
+    big = np.iinfo(np.int64).max
+    chunks = [
+        rng.integers(-10**6, 10**6, 3000),
+        -rng.integers(1, 10**5, 700),  # all negative
+        np.zeros(40, dtype=np.int64),
+        np.array([0, -1, 1, 9, -10, 10, 99, -100, 10**9, -(10**18), big, -big]),
+    ]
+    # k crosses 10, 100, 10^5, 10^9 and 2^32 inside a chunk; the last firsts
+    # also push k past uint32
+    for first in (0, 1, 7, 95, 99_990, 999_999_000, (1 << 32) - 100, 10**15 - 3):
+        for values in chunks:
+            values = values.astype(np.int64)
+            for absolute in (False, True):
+                got = list(autocorr._csv_rows(values, first, absolute))
+                assert got == list(_csv_percent(values, first, absolute)), (first, absolute)
+    # several chunks, with a power of ten inside the second one
+    values = rng.integers(-50, 50, 3 * autocorr._CSV_CHUNK)
+    first = 10**6 - autocorr._CSV_CHUNK - 17
+    assert list(autocorr._csv_rows(values, first)) == list(_csv_percent(values, first))
+    assert list(autocorr._csv_rows(np.zeros(0, dtype=np.int64), 1, True)) == []
+    level = next(lv for m, lv in enumerate(autocorr._odd_levels(12)) if m == 12)  # int32
+    assert list(autocorr._csv_rows(level, 1)) == list(_csv_percent(level, 1))
+    assert main(["plotdata", "--m", "0"]) == 0
+    assert capsys.readouterr().out == "k,abs_C\n"  # no rows: the header alone
+
+
+def test_sum_squares_of_int32_level_exceeds_int32():
+    for level in (
+        np.full(5000, 46_340, dtype=np.int32),  # each square < 2^31, the sum > 2^31
+        np.array([(1 << 31) - 1, -(1 << 31), 7], dtype=np.int32),
+        np.array([1 << 30, -(1 << 30)] * 3000, dtype=np.int32),  # past 2^63 per chunk
+    ):
+        total = autocorr._sum_squares(level)
+        assert isinstance(total, int)
+        assert total == sum(v * v for v in level.tolist())
+        assert total > 1 << 31
+    for odd in autocorr._odd_levels(20):
+        pass
+    assert odd.dtype == np.int32
+    assert autocorr._sum_squares(odd) == sum(v * v for v in odd.tolist())
+
+
+def test_level_dtype_rule():
+    # levels are int32 while 2^m_max fits; from order 31 on (a max_order
+    # override) they are int64.  Never build a ladder that high: at order 31
+    # it holds 14 GiB.
+    assert [autocorr._level_dtype(m) for m in (0, 2, 24, 30)] == [np.int32] * 4
+    assert [autocorr._level_dtype(m) for m in (31, 40, 62)] == [np.int64] * 3
+    # the step keeps its inputs' type, so int64 seeds give an int64 ladder
+    # with the same values
+    one_back = two_back = None
+    for m, level in enumerate(autocorr._odd_levels(12)):
+        if m <= 2:
+            wide = np.array(autocorr._ODD_SEEDS[m], dtype=np.int64)
+        else:
+            wide = autocorr._next_odd(one_back, two_back)
+        assert wide.dtype == np.int64 and np.array_equal(wide, level), m
+        two_back, one_back = one_back, wide
+
+
+def test_estimate_counts_int64_levels_above_order_30(monkeypatch):
+    # from order 31 the levels are int64 and their share of the peak counts
+    # twice; the guard raises before anything is allocated
+    monkeypatch.setattr(autocorr, "_mem_available", lambda: 1 << 20)
+    for builder, m in (("the aperiodic ladder", 30), ("the aperiodic ladder", 31),
+                       ("the table pairs", 31)):
+        units = autocorr._PEAK_UNITS[builder]
+        if m > 30:
+            units += autocorr._LEVEL_UNITS[builder]
+        with pytest.raises(OrderTooLargeError, match=f"of order {m} .* {int(units * 2**m)} "):
+            autocorr._check_peak(builder, m)
+    with pytest.raises(OrderTooLargeError, match=f"order 31 needs about {7 << 31} bytes"):
+        merit_factor(31, max_order=31)
+
+
+def test_periodic_from_int32_level_multiplies_in_int64():
+    # 4 C_{m-2} reaches 2^32 at order 32, whose order-30 level is int32
+    a, b = (1 << 30) - 1, -((1 << 30) - 1)
+    values = autocorr._periodic_from(4, np.array([a, b], dtype=np.int32)).values
+    assert values[[5, 7, 9, 11]].tolist() == [4 * b, 4 * a, 4 * a, 4 * b]

@@ -252,6 +252,13 @@ PINNED_OUTPUTS = {
         "ffdd8c579af399b5aa26988a1d851180676fdcaa435698773ac1191bad3d0d00",
     ("merit", "--m-max", "20"):
         "276aeead35771da129363467033ac27bab485e83623d1dda84b7e194ab44a2b8",
+    # 7-digit shifts over 16 or more CSV chunks
+    ("autocorr", "--m", "20"):
+        "92cd121cdf13ba9efa852759e769a5b5af9bea5bca6c0733b737055ab259e852",
+    ("autocorr", "--m", "20", "--kind", "periodic"):
+        "0f7d1fb297e26477541ff6ceb594cbb0f0dd821972513c0e0339de50a117094b",
+    ("plotdata", "--m", "20"):
+        "0c1e6b8ee3d2409fd5daacbab0b55e2aecaf396f807957cb2a085a73fc77d7f1",
 }
 
 

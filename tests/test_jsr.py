@@ -10,7 +10,7 @@ from rscorr.jsr import (
     spectral_radius,
 )
 from rscorr.norms import eigen_constants, spectral_norm
-from rscorr.recurrence import MA, MB, PROJ, SWAP
+from rscorr.recurrence import MA, MAX_WORD_LENGTH, MB, PROJ, SWAP
 
 LAM = eigen_constants().lam
 
@@ -208,3 +208,24 @@ def test_product_word_is_frozen_and_read_only():
         w.letters = ("MA",)
     with pytest.raises(ValueError, match="letter 'MC' not in alphabet"):
         ProductWord.make(("MA", "MC"))
+
+
+def test_product_word_length_cap():
+    # up to the cap the int64 product is the Python-int one; one more letter
+    # is refused, where 87 letters of MA would wrap silently
+    for letters in (("MA",) * MAX_WORD_LENGTH, ("MB", "MA") * 30 + ("MB",)):
+        exact = np.array(_int_product(letters), dtype=object)
+        assert np.array_equal(ProductWord.make(letters).matrix, exact)
+        assert max(abs(int(x)) for x in exact.ravel()) <= 1 << (len(letters) + 1)
+    for n in (MAX_WORD_LENGTH + 1, 87):
+        with pytest.raises(ValueError, match=f"word of {n} letters exceeds the cap"):
+            ProductWord.make(["MA"] * n)
+
+
+def _int_product(letters):
+    mats = {"MA": MA.tolist(), "MB": MB.tolist()}
+    out = [[int(i == j) for j in range(3)] for i in range(3)]
+    for letter in letters:
+        out = [[sum(out[i][k] * mats[letter][k][j] for k in range(3)) for j in range(3)]
+               for i in range(3)]
+    return out

@@ -8,12 +8,14 @@ from rscorr import autocorr, recurrence
 from rscorr.autocorr import aperiodic_table_fast
 from rscorr.recurrence import (
     MAX_CHAIN_ORDER,
+    MAX_WORD_LENGTH,
     MA,
     MB,
     PROJ,
     SEED,
     STEP,
     SWAP,
+    NormalForm,
     NormalFormError,
     _chain,
     _letters,
@@ -349,3 +351,18 @@ def test_routes_on_random_shifts():
     prod, recon = _routes(m, shifts)
     assert np.array_equal(prod, direct)
     assert np.array_equal(recon, direct)
+
+
+def test_normal_form_word_cap():
+    # a word at the cap still reconstructs exactly (normal forms at the chain
+    # cap have 60 letters); a longer one is refused, where int64 would wrap
+    letters = ("MA", "MB") * 30 + ("MA",)
+    assert len(letters) == MAX_WORD_LENGTH >= MAX_CHAIN_ORDER - 2
+    mats = {"MA": MA.tolist(), "MB": MB.tolist()}
+    v = SEED.tolist()
+    for letter in reversed(letters):
+        v = [sum(a * b for a, b in zip(row, v)) for row in mats[letter]]
+    v = [v[1], v[0], v[2]]  # SWAP
+    assert NormalForm(63, 1, 1, letters).reconstruct().tolist() == v
+    with pytest.raises(ValueError, match="word of 88 letters exceeds the cap 61"):
+        NormalForm(90, 1, 0, ("MA",) * 88).reconstruct()

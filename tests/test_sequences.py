@@ -190,3 +190,20 @@ def test_shapiro_eval_scalar_matches_array():
     arr = shapiro_eval(5, np.array([0.7]))
     assert isinstance(val, complex)
     assert val == pytest.approx(arr[0])
+
+
+def test_sequence_memory_guard(monkeypatch):
+    # one int8 array of 2^m bytes, checked before it is allocated
+    monkeypatch.setattr(sequences, "_mem_available", lambda: 1 << 20)
+    assert len(rs_sequence(20)) == 1 << 20
+    with pytest.raises(OrderTooLargeError, match=f"the sequence of order 21 needs about {1 << 21} bytes"):
+        rs_sequence(21)
+    with pytest.raises(OrderTooLargeError, match="order 21"):
+        generalized_sequence(21, [0] * 21)
+    monkeypatch.setattr(sequences, "_mem_available", lambda: None)  # unknown never blocks
+    assert len(rs_sequence(21)) == 1 << 21
+    # below 1 MiB nothing is read
+    monkeypatch.setattr(sequences, "_mem_available", lambda: 0)
+    assert len(rs_sequence(19)) == 1 << 19
+    with pytest.raises(OrderTooLargeError, match="order 20"):
+        rs_sequence(20)
